@@ -218,7 +218,7 @@ impl Node for AsifGate {
         let Some((slot, proposed)) = self.scratch.last().cloned() else {
             return;
         };
-        let topic = self.outputs[slot as usize].as_str().to_string();
+        let topic = self.outputs[slot as usize].as_str();
         match self.oracle.project_command(inputs, &proposed, self.horizon) {
             Some(clipped) => {
                 self.clips.fetch_add(1, Ordering::Relaxed);

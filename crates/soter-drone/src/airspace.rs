@@ -349,13 +349,42 @@ impl SeparationOracle {
             .and_then(topics::value_to_state)
     }
 
-    /// The peers' states, or `None` if any peer estimate is missing (the
-    /// conservative reading: an unobserved peer could be anywhere).
-    fn peer_states(&self, observed: &dyn TopicRead) -> Option<Vec<DroneState>> {
-        self.peer_topics
-            .iter()
-            .map(|t| observed.get(t).and_then(topics::value_to_state))
-            .collect()
+    /// The observed peer states, in one allocation-free pass.  An
+    /// unobserved peer could be anywhere, so it ends the iteration and sets
+    /// `missing`: every query then gives its conservative answer, the one a
+    /// conflicting peer would give.
+    fn observed_peers<'a>(
+        &'a self,
+        observed: &'a dyn TopicRead,
+        missing: &'a mut bool,
+    ) -> impl Iterator<Item = DroneState> + 'a {
+        self.peer_topics.iter().map_while(move |t| {
+            let state = observed.get(t).and_then(topics::value_to_state);
+            *missing |= state.is_none();
+            state
+        })
+    }
+
+    /// Point-wise φ_sep against every peer; `false` if any peer estimate
+    /// is missing.
+    fn peers_separated(&self, own: &DroneState, observed: &dyn TopicRead) -> bool {
+        let mut missing = false;
+        let separated = self
+            .observed_peers(observed, &mut missing)
+            .all(|p| self.peers.separated(own.position, p.position));
+        separated && !missing
+    }
+
+    /// Whether some peer may violate φ_sep within `horizon`; `true` if any
+    /// peer estimate is missing.
+    fn peer_conflict(&self, own: &DroneState, observed: &dyn TopicRead, horizon: f64) -> bool {
+        let mut missing = false;
+        let conflict = self.peers.may_violate_within(
+            own,
+            self.observed_peers(observed, &mut missing),
+            horizon,
+        );
+        conflict || missing
     }
 
     /// Re-keys the own position under the unscoped name the single-drone
@@ -367,24 +396,19 @@ impl SeparationOracle {
 
 impl SafetyOracle for SeparationOracle {
     fn is_safe(&self, observed: &dyn TopicRead) -> bool {
-        let (Some(own), Some(peers)) = (self.own_state(observed), self.peer_states(observed))
-        else {
+        let Some(own) = self.own_state(observed) else {
             return false;
         };
-        self.inner.is_safe(&self.translated(observed))
-            && peers
-                .iter()
-                .all(|p| self.peers.separated(own.position, p.position))
+        self.inner.is_safe(&self.translated(observed)) && self.peers_separated(&own, observed)
     }
 
     fn is_safer(&self, observed: &dyn TopicRead) -> bool {
-        let (Some(own), Some(peers)) = (self.own_state(observed), self.peer_states(observed))
-        else {
+        let Some(own) = self.own_state(observed) else {
             return false;
         };
         let horizon = self.safer_factor * 2.0 * self.delta;
         self.inner.is_safer(&self.translated(observed))
-            && !self.peers.may_violate_within(&own, &peers, horizon)
+            && !self.peer_conflict(&own, observed, horizon)
     }
 
     fn may_leave_safe_within(
@@ -392,15 +416,12 @@ impl SafetyOracle for SeparationOracle {
         observed: &dyn TopicRead,
         horizon: soter_core::time::Duration,
     ) -> bool {
-        let (Some(own), Some(peers)) = (self.own_state(observed), self.peer_states(observed))
-        else {
+        let Some(own) = self.own_state(observed) else {
             return true;
         };
         self.inner
             .may_leave_safe_within(&self.translated(observed), horizon)
-            || self
-                .peers
-                .may_violate_within(&own, &peers, horizon.as_secs_f64())
+            || self.peer_conflict(&own, observed, horizon.as_secs_f64())
     }
 
     fn supports_command_checks(&self) -> bool {
@@ -413,8 +434,7 @@ impl SafetyOracle for SeparationOracle {
         command: &Value,
         horizon: soter_core::time::Duration,
     ) -> bool {
-        let (Some(own), Some(peers)) = (self.own_state(observed), self.peer_states(observed))
-        else {
+        let Some(own) = self.own_state(observed) else {
             return true;
         };
         // The peer conjunct stays worst-case: `may_violate_within` already
@@ -422,9 +442,7 @@ impl SafetyOracle for SeparationOracle {
         // own command cannot relax it without also predicting the peers'.
         self.inner
             .command_may_leave_safe(&self.translated(observed), command, horizon)
-            || self
-                .peers
-                .may_violate_within(&own, &peers, horizon.as_secs_f64())
+            || self.peer_conflict(&own, observed, horizon.as_secs_f64())
     }
 
     fn project_command(

@@ -133,6 +133,23 @@ impl ForwardReach {
     /// horizon, mirroring the `include_braking` contract of the directed
     /// occupancy.
     pub fn occupancy_under_command(&self, state: &DroneState, accel: Vec3, horizon: f64) -> Aabb {
+        let (sampled, last) = self.roll_out_command(state, accel, horizon, |_| {});
+        sampled.inflate(self.command_inflation(last.speed(), horizon))
+    }
+
+    /// The commanded closed loop behind
+    /// [`ForwardReach::occupancy_under_command`]: steps the plant at the
+    /// plant step under `accel` held constant for `horizon` seconds, hands
+    /// every successor state to `visit`, and returns the bounding box of
+    /// the sampled positions (start included) with the final state.
+    #[inline]
+    pub(crate) fn roll_out_command(
+        &self,
+        state: &DroneState,
+        accel: Vec3,
+        horizon: f64,
+        mut visit: impl FnMut(&DroneState),
+    ) -> (Aabb, DroneState) {
         assert!(horizon >= 0.0, "horizon must be non-negative");
         let u = soter_sim::dynamics::ControlInput::accel(accel);
         let mut s = *state;
@@ -142,16 +159,23 @@ impl ForwardReach {
             let dt = self.plant_step.min(horizon - t);
             s = self.dynamics.step(&s, &u, Vec3::ZERO, dt);
             t += dt;
+            visit(&s);
             lo = lo.min(&s.position);
             hi = hi.max(&s.position);
         }
+        (Aabb::new(lo, hi), s)
+    }
+
+    /// How far [`ForwardReach::occupancy_under_command`] inflates the
+    /// sampled rollout box: the estimation error, a discretisation slack,
+    /// and the braking footprint from the rollout's final speed.
+    pub(crate) fn command_inflation(&self, final_speed: f64, horizon: f64) -> f64 {
         // Between samples the trajectory can overshoot the sampled
         // positions by at most ½·a_eff·dt² plus one step of travel.
         let a_eff = self.dynamics.max_acceleration + self.dynamics.drag * self.dynamics.max_speed;
         let slack = self.dynamics.max_speed * self.plant_step.min(horizon)
             + 0.5 * a_eff * self.plant_step * self.plant_step;
-        let braking = self.dynamics.stopping_distance(s.speed());
-        Aabb::new(lo, hi).inflate(self.estimation_error + slack + braking)
+        self.estimation_error + slack + self.dynamics.stopping_distance(final_speed)
     }
 
     /// Axis-aligned over-approximation of the positions reachable within

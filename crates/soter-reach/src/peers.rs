@@ -77,14 +77,16 @@ impl PeerSeparation {
     /// forward occupancy intersects any peer's induced unsafe region within
     /// `horizon` — i.e. the pair may violate separation before the next
     /// decision instant under some admissible controls.
-    pub fn may_violate_within(&self, own: &DroneState, peers: &[DroneState], horizon: f64) -> bool {
-        if peers.is_empty() {
-            return false;
-        }
+    pub fn may_violate_within(
+        &self,
+        own: &DroneState,
+        peers: impl IntoIterator<Item = DroneState>,
+        horizon: f64,
+    ) -> bool {
         let own_occupancy = self.reach.occupancy_directed(own, horizon, true);
         peers
-            .iter()
-            .any(|peer| own_occupancy.intersects(&self.peer_region(peer, horizon)))
+            .into_iter()
+            .any(|peer| own_occupancy.intersects(&self.peer_region(&peer, horizon)))
     }
 }
 
@@ -106,8 +108,8 @@ mod tests {
         let own = DroneState::at_rest(Vec3::new(0.0, 0.0, 5.0));
         let far = DroneState::at_rest(Vec3::new(40.0, 0.0, 5.0));
         assert!(p.separated(own.position, far.position));
-        assert!(!p.may_violate_within(&own, &[far], 0.2));
-        assert!(!p.may_violate_within(&own, &[], 10.0));
+        assert!(!p.may_violate_within(&own, [far], 0.2));
+        assert!(!p.may_violate_within(&own, [], 10.0));
     }
 
     #[test]
@@ -123,7 +125,7 @@ mod tests {
         };
         assert!(p.separated(own.position, oncoming.position));
         assert!(
-            p.may_violate_within(&own, &[oncoming], 1.0),
+            p.may_violate_within(&own, [oncoming], 1.0),
             "closing at 12 m/s from 10 m apart must be flagged within 1 s"
         );
     }
@@ -138,15 +140,15 @@ mod tests {
         let tight = peers(0.5);
         let wide = peers(4.0);
         for horizon in [0.1, 0.5, 1.0, 2.0] {
-            if tight.may_violate_within(&own, &[peer], horizon) {
+            if tight.may_violate_within(&own, [peer], horizon) {
                 assert!(
-                    wide.may_violate_within(&own, &[peer], horizon),
+                    wide.may_violate_within(&own, [peer], horizon),
                     "a larger r_sep must flag at least as often (h = {horizon})"
                 );
             }
         }
-        if tight.may_violate_within(&own, &[peer], 0.5) {
-            assert!(tight.may_violate_within(&own, &[peer], 2.0));
+        if tight.may_violate_within(&own, [peer], 0.5) {
+            assert!(tight.may_violate_within(&own, [peer], 2.0));
         }
     }
 

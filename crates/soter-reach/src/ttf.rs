@@ -12,8 +12,24 @@
 use crate::forward::ForwardReach;
 use serde::{Deserialize, Serialize};
 use soter_sim::dynamics::DroneState;
+use soter_sim::geometry::Aabb;
 use soter_sim::vec3::Vec3;
-use soter_sim::world::Workspace;
+use soter_sim::world::{ClearanceChecker, Workspace};
+
+/// Bisection probes of [`ObstacleTtf::project_command_accel`].
+const PROJECTION_PROBES: usize = 16;
+
+/// Plant steps a projection ray records for certified probes (0.64 s at a
+/// 10 ms plant step); longer horizons probe by exact rollouts only.
+const RAY_STEPS: usize = 64;
+
+/// Floor of the certification tolerance ε (metres).
+const CERT_EPS: f64 = 1e-7;
+
+/// Relative rounding headroom of certified probes: ε grows with the
+/// coordinate scale at this rate, and the speed clamp counts as engaged
+/// within this fraction of `max_speed`.
+const CERT_REL: f64 = 1e-11;
 
 /// Time-to-failure computation against a static obstacle workspace.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -24,6 +40,9 @@ pub struct ObstacleTtf {
     /// the safe controller's certified tracking-error bound, so that a state
     /// declared "safe for 2Δ" is still recoverable by the SC afterwards.
     margin: f64,
+    /// The workspace's obstacles and bounds, inflated and shrunk by
+    /// `margin` once at construction.
+    checker: ClearanceChecker,
 }
 
 impl ObstacleTtf {
@@ -34,10 +53,12 @@ impl ObstacleTtf {
     /// Panics if `margin` is negative.
     pub fn new(workspace: Workspace, reach: ForwardReach, margin: f64) -> Self {
         assert!(margin >= 0.0, "margin must be non-negative");
+        let checker = workspace.clearance_checker(margin);
         ObstacleTtf {
             workspace,
             reach,
             margin,
+            checker,
         }
     }
 
@@ -73,9 +94,7 @@ impl ObstacleTtf {
     /// recover) is not entirely contained in free space.
     pub fn may_leave_safe_within(&self, state: &DroneState, horizon: f64) -> bool {
         let occupancy = self.reach.occupancy_directed(state, horizon, true);
-        !self
-            .workspace
-            .region_is_free_with_margin(&occupancy, self.margin)
+        !self.checker.region_free(&occupancy)
     }
 
     /// The command-conditional variant of
@@ -92,9 +111,7 @@ impl ObstacleTtf {
         horizon: f64,
     ) -> bool {
         let occupancy = self.reach.occupancy_under_command(state, accel, horizon);
-        !self
-            .workspace
-            .region_is_free_with_margin(&occupancy, self.margin)
+        !self.checker.region_free(&occupancy)
     }
 
     /// ASIF-style minimal intervention: projects a proposed acceleration
@@ -106,26 +123,59 @@ impl ObstacleTtf {
     /// when the filter must intervene.  If even full braking is not
     /// admissible the brake command itself is returned — the least-bad
     /// minimal intervention.
+    ///
+    /// Each probe is first decided from the two endpoint rollouts, between
+    /// which the rollout is affine in the ray parameter away from the
+    /// clamps and the ground; a probe the interpolation cannot prove either
+    /// way is rolled out exactly, so the result equals exact bisection bit
+    /// for bit.
     pub fn project_command_accel(
         &self,
         state: &DroneState,
         proposed: Vec3,
         horizon: f64,
     ) -> Option<Vec3> {
-        let admissible = |a: Vec3| !self.command_may_leave_safe_within(state, a, horizon);
-        if admissible(proposed) {
+        let tip = RayEndpoint::record(&self.reach, state, proposed, horizon);
+        if self
+            .checker
+            .region_free(&tip.occupancy(&self.reach, horizon))
+        {
             return None;
         }
         // The anchor of the ray: brake as hard as the plant allows against
         // the current velocity (zero acceleration when already at rest).
         let brake = (state.velocity * -1e6).clamp_norm(self.reach.dynamics.max_acceleration);
-        if !admissible(brake) {
+        let anchor = RayEndpoint::record(&self.reach, state, brake, horizon);
+        if !self
+            .checker
+            .region_free(&anchor.occupancy(&self.reach, horizon))
+        {
             return Some(brake);
         }
+        // The plant clamps a proposal beyond `max_acceleration`, which bends
+        // the tip rollout off the ray's affine family; probes interpolate
+        // toward the proposal's rollout under a limit lifted to its norm
+        // instead, which every unclamped probe command lies on.
+        let unclamped;
+        let ray_tip = if proposed.norm() <= self.reach.dynamics.max_acceleration {
+            &tip
+        } else {
+            let mut lifted = self.reach;
+            lifted.dynamics.max_acceleration = proposed.norm();
+            unclamped = RayEndpoint::record(&lifted, state, proposed, horizon);
+            &unclamped
+        };
+        let ray = AffineRay::new(&anchor, ray_tip);
         let (mut lo, mut hi) = (0.0f64, 1.0f64);
-        for _ in 0..16 {
+        for _ in 0..PROJECTION_PROBES {
             let mid = 0.5 * (lo + hi);
-            if admissible(brake.lerp(&proposed, mid)) {
+            let command = brake.lerp(&proposed, mid);
+            let certified = ray
+                .as_ref()
+                .and_then(|ray| ray.certify(&self.checker, &self.reach, mid, command, horizon));
+            let admissible = certified
+                .unwrap_or_else(|| !self.command_may_leave_safe_within(state, command, horizon));
+            if admissible {
                 lo = mid;
             } else {
                 hi = mid;
@@ -159,6 +209,129 @@ impl ObstacleTtf {
             }
         }
         lo
+    }
+}
+
+/// One endpoint of a projection ray: a commanded rollout (the one
+/// [`ForwardReach::occupancy_under_command`] runs), with the samples a
+/// certified probe interpolates.
+struct RayEndpoint {
+    start: Vec3,
+    /// Positions after each plant step; only the first `RAY_STEPS` are kept.
+    positions: [Vec3; RAY_STEPS],
+    steps: usize,
+    sampled: Aabb,
+    final_velocity: Vec3,
+    /// Lowest altitude over the successor states.
+    min_z: f64,
+    /// Whether some successor state is within rounding of the speed cap
+    /// (the plant may have clamped its speed), or the rollout left the
+    /// finite numbers, which it never re-enters.
+    irregular: bool,
+}
+
+impl RayEndpoint {
+    fn record(reach: &ForwardReach, state: &DroneState, accel: Vec3, horizon: f64) -> Self {
+        let mut positions = [Vec3::ZERO; RAY_STEPS];
+        let (mut steps, mut min_z, mut max_speed_sq) = (0, f64::INFINITY, 0.0f64);
+        let (sampled, last) = reach.roll_out_command(state, accel, horizon, |s| {
+            if let Some(slot) = positions.get_mut(steps) {
+                *slot = s.position;
+            }
+            steps += 1;
+            min_z = min_z.min(s.position.z);
+            max_speed_sq = max_speed_sq.max(s.velocity.norm_squared());
+        });
+        let cap = reach.dynamics.max_speed * (1.0 - CERT_REL);
+        RayEndpoint {
+            start: state.position,
+            positions,
+            steps,
+            sampled,
+            final_velocity: last.velocity,
+            min_z,
+            irregular: max_speed_sq >= cap * cap
+                || !(last.position.is_finite() && last.velocity.is_finite()),
+        }
+    }
+
+    /// The command occupancy of this endpoint, exactly as
+    /// [`ForwardReach::occupancy_under_command`] computes it.
+    fn occupancy(&self, reach: &ForwardReach, horizon: f64) -> Aabb {
+        self.sampled
+            .inflate(reach.command_inflation(self.final_velocity.norm(), horizon))
+    }
+}
+
+/// A projection ray whose rollouts are affine in the ray parameter `t`.
+///
+/// The plant step is affine in state and command except where it clamps
+/// the command to `max_acceleration`, clamps the speed to `max_speed`, or
+/// stops the vehicle at the ground.  A rollout that stays clear of all
+/// three is therefore, up to rounding, the lerp of the anchor (`t = 0`)
+/// and tip (`t = 1`) rollouts, and so is every rollout in between whose
+/// command is within the limit: the speed ball is convex, and a convex
+/// combination of altitudes above the ground stays above it.  Rounding
+/// moves the lerp less than `eps` from the exact rollout, so a box test
+/// with `eps` of headroom either way decides the exact rollout's
+/// admissibility.
+struct AffineRay<'a> {
+    anchor: &'a RayEndpoint,
+    tip: &'a RayEndpoint,
+    eps: f64,
+}
+
+impl<'a> AffineRay<'a> {
+    /// The ray between two unclamped endpoint rollouts, or `None` when the
+    /// affine argument does not cover it: the horizon outruns the recorded
+    /// steps, or an endpoint comes within `eps` of the ground or within
+    /// rounding of the speed cap.
+    fn new(anchor: &'a RayEndpoint, tip: &'a RayEndpoint) -> Option<Self> {
+        let scale = [anchor.sampled, tip.sampled]
+            .iter()
+            .flat_map(|b| [b.min.abs().max_component(), b.max.abs().max_component()])
+            .fold(0.0, f64::max);
+        let eps = CERT_EPS.max(CERT_REL * scale);
+        let clear = |e: &RayEndpoint| e.steps <= RAY_STEPS && e.min_z > eps && !e.irregular;
+        (clear(anchor) && clear(tip)).then_some(AffineRay { anchor, tip, eps })
+    }
+
+    /// Decides the admissibility of `command`, the command at ray
+    /// parameter `t`, from the interpolated occupancy: admissible when it
+    /// is free grown by `eps`, inadmissible when it is not free shrunk by
+    /// `eps`, and `None` (roll out exactly) when it is within `eps` of the
+    /// boundary or too thin to shrink, or when the plant would clamp
+    /// `command`.
+    fn certify(
+        &self,
+        checker: &ClearanceChecker,
+        reach: &ForwardReach,
+        t: f64,
+        command: Vec3,
+        horizon: f64,
+    ) -> Option<bool> {
+        // The test the plant's command clamp applies.
+        let unclamped = command.norm() <= reach.dynamics.max_acceleration;
+        if !unclamped {
+            return None;
+        }
+        let (a, b) = (self.anchor, self.tip);
+        let (mut lo, mut hi) = (a.start, a.start);
+        for (pa, pb) in a.positions[..a.steps].iter().zip(&b.positions[..b.steps]) {
+            let p = pa.lerp(pb, t);
+            lo = lo.min(&p);
+            hi = hi.max(&p);
+        }
+        let speed = a.final_velocity.lerp(&b.final_velocity, t).norm();
+        let occupancy = Aabb { min: lo, max: hi }.inflate(reach.command_inflation(speed, horizon));
+        if checker.region_free(&occupancy.inflate(self.eps)) {
+            return Some(true);
+        }
+        let extents = occupancy.extents();
+        if extents.x.min(extents.y).min(extents.z) < 2.0 * self.eps {
+            return None;
+        }
+        (!checker.region_free(&occupancy.inflate(-self.eps))).then_some(false)
     }
 }
 
@@ -277,6 +450,124 @@ mod tests {
             t.project_command_accel(&s, Vec3::new(1.0, 0.0, 0.0), 0.2),
             None
         );
+    }
+
+    /// The ray of a clipping projection from `state`, recorded at `horizon`.
+    fn endpoints(
+        t: &ObstacleTtf,
+        state: &DroneState,
+        proposed: Vec3,
+        horizon: f64,
+    ) -> (RayEndpoint, RayEndpoint) {
+        let brake = (state.velocity * -1e6).clamp_norm(t.reach.dynamics.max_acceleration);
+        (
+            RayEndpoint::record(&t.reach, state, brake, horizon),
+            RayEndpoint::record(&t.reach, state, proposed, horizon),
+        )
+    }
+
+    #[test]
+    fn certified_probes_agree_with_exact_rollouts_and_rarely_fall_back() {
+        use rand::{rngs::SmallRng, Rng, SeedableRng};
+        let t = ttf();
+        let mut rng = SmallRng::seed_from_u64(5);
+        let (mut certified, mut fallback) = (0usize, 0usize);
+        while certified + fallback < 5_000 {
+            let state = DroneState {
+                position: Vec3::new(
+                    rng.random_range(0.0..50.0),
+                    rng.random_range(0.0..50.0),
+                    rng.random_range(0.5..8.0),
+                ),
+                velocity: Vec3::new(
+                    rng.random_range(-5.0..5.0),
+                    rng.random_range(-5.0..5.0),
+                    rng.random_range(-1.0..1.0),
+                ),
+            };
+            let proposed = Vec3::new(
+                rng.random_range(-4.0..4.0),
+                rng.random_range(-4.0..4.0),
+                rng.random_range(-1.0..1.0),
+            );
+            let (anchor, tip) = endpoints(&t, &state, proposed, 0.2);
+            let brake = (state.velocity * -1e6).clamp_norm(6.0);
+            if !t.is_safe(&state)
+                || t.checker.region_free(&tip.occupancy(&t.reach, 0.2))
+                || !t.checker.region_free(&anchor.occupancy(&t.reach, 0.2))
+            {
+                continue;
+            }
+            let ray =
+                AffineRay::new(&anchor, &tip).expect("an ordinary clip is in the affine regime");
+            let (mut lo, mut hi) = (0.0f64, 1.0f64);
+            for _ in 0..PROJECTION_PROBES {
+                let mid = 0.5 * (lo + hi);
+                let command = brake.lerp(&proposed, mid);
+                let exact = !t.command_may_leave_safe_within(&state, command, 0.2);
+                match ray.certify(&t.checker, &t.reach, mid, command, 0.2) {
+                    Some(verdict) => {
+                        assert_eq!(verdict, exact, "probe {mid} from {state:?}");
+                        certified += 1;
+                    }
+                    None => fallback += 1,
+                }
+                if exact {
+                    lo = mid;
+                } else {
+                    hi = mid;
+                }
+            }
+        }
+        assert!(
+            fallback * 100 < certified,
+            "{fallback} of {} probes fell back to exact rollouts",
+            certified + fallback
+        );
+    }
+
+    #[test]
+    fn affine_ray_excludes_the_non_affine_regimes() {
+        let t = ttf();
+        let cruising = DroneState {
+            position: Vec3::new(5.0, 13.0, 3.0),
+            velocity: Vec3::new(4.0, 0.0, 0.0),
+        };
+        let ahead = Vec3::new(3.0, 0.0, 0.0);
+        let ray_exists = |state: &DroneState, horizon: f64| {
+            let (anchor, tip) = endpoints(&t, state, ahead, horizon);
+            AffineRay::new(&anchor, &tip).is_some()
+        };
+        assert!(ray_exists(&cruising, 0.2));
+        // The speed clamp: already at the cap and pushing along it.
+        let capped = DroneState {
+            velocity: Vec3::new(8.0, 0.0, 0.0),
+            ..cruising
+        };
+        assert!(!ray_exists(&capped, 0.2));
+        // Ground contact: sinking a hair above the ground.
+        let landing = DroneState {
+            position: Vec3::new(5.0, 13.0, 1e-7),
+            velocity: Vec3::new(1.0, 0.0, -0.5),
+        };
+        assert!(!ray_exists(&landing, 0.2));
+        // More plant steps than a ray records.
+        assert!(!ray_exists(&cruising, 1.0));
+        // The command clamp: toward a proposal beyond `max_acceleration`
+        // (rolled out under a lifted limit), probe commands within the
+        // limit are certified and those beyond it left to exact rollouts.
+        let dash = Vec3::new(12.0, 0.0, 0.0);
+        let mut lifted = t.reach;
+        lifted.dynamics.max_acceleration = dash.norm();
+        let (anchor, _) = endpoints(&t, &cruising, dash, 0.2);
+        let tip = RayEndpoint::record(&lifted, &cruising, dash, 0.2);
+        let ray = AffineRay::new(&anchor, &tip).expect("in the affine regime");
+        let brake = Vec3::new(-6.0, 0.0, 0.0);
+        for (t_ray, certified) in [(0.5, true), (0.9, false)] {
+            let command = brake.lerp(&dash, t_ray);
+            let verdict = ray.certify(&t.checker, &t.reach, t_ray, command, 0.2);
+            assert_eq!(verdict.is_some(), certified, "probe at {t_ray}");
+        }
     }
 
     #[test]

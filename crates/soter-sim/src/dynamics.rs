@@ -112,6 +112,7 @@ impl QuadrotorDynamics {
     /// # Panics
     ///
     /// Panics if `dt` is not positive and finite.
+    #[inline]
     pub fn step(
         &self,
         state: &DroneState,

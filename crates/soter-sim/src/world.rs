@@ -492,12 +492,26 @@ mod tests {
             let p = Vec3::new(x, y, z);
             prop_assert_eq!(w.segment_is_free(p, p), w.is_free(p));
         }
+
+        #[test]
+        fn prop_checker_region_matches_margin_query(
+            x in -2.0..52.0f64, y in -2.0..52.0f64, z in -1.0..13.0f64,
+            ex in 0.0..6.0f64, ey in 0.0..6.0f64, ez in 0.0..6.0f64,
+            m in 0.0..1.0f64
+        ) {
+            let w = Workspace::city_block();
+            let region = Aabb::from_center_extents(Vec3::new(x, y, z), Vec3::new(ex, ey, ez));
+            prop_assert_eq!(
+                w.clearance_checker(m).region_free(&region),
+                w.region_is_free_with_margin(&region, m)
+            );
+        }
     }
 }
 
 /// Precomputed clearance queries for one fixed margin (see
 /// [`Workspace::clearance_checker`]).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ClearanceChecker {
     shrunk: Aabb,
     inflated: Vec<Aabb>,
@@ -508,6 +522,14 @@ impl ClearanceChecker {
     /// margin.
     pub fn point_free(&self, p: Vec3) -> bool {
         self.shrunk.contains(&p) && !self.inflated.iter().any(|o| o.contains(&p))
+    }
+
+    /// Equivalent to [`Workspace::region_is_free_with_margin`] at the
+    /// checker's margin.
+    pub fn region_free(&self, region: &Aabb) -> bool {
+        self.shrunk.contains(&region.min)
+            && self.shrunk.contains(&region.max)
+            && !self.inflated.iter().any(|o| o.intersects(region))
     }
 
     /// Equivalent to [`Workspace::segment_is_free_with_margin`] at the

@@ -11,14 +11,21 @@
 //! The file contains a single `#[test]` so no concurrent test can perturb
 //! the counter; trace *storage* is off (the streaming digest is still
 //! maintained), matching the campaign/falsifier configuration this hot
-//! path serves.  Domain oracles are free to allocate internally — the
-//! property claimed here is about the executor machinery, so the system
-//! under test uses arithmetic-only nodes and oracles.
+//! path serves.  The executor probes use arithmetic-only nodes and oracles
+//! (one module under explicit Simplex, one behind the ASIF gate); the
+//! drone stack's command-level oracles — the motion-primitive projection
+//! and the airspace separation checks — are measured by direct calls.
 
 use soter::core::prelude::*;
+use soter::drone::airspace::SeparationOracle;
+use soter::drone::oracles::MotionPrimitiveOracle;
+use soter::drone::{topics, DroneStackConfig};
+use soter::reach::{ForwardReach, PeerSeparation};
 use soter::runtime::batch::BatchExecutor;
 use soter::runtime::executor::{Executor, ExecutorConfig};
 use soter::runtime::schedule::JitterSchedule;
+use soter::sim::dynamics::{ControlInput, DroneState, QuadrotorDynamics};
+use soter::sim::Vec3;
 use soter::vm::VmNode;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -62,7 +69,8 @@ unsafe impl GlobalAlloc for CountingAllocator {
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
 /// φ_safe = |x| ≤ 10, φ_safer = |x| ≤ 5 over the `state` topic; pure
-/// arithmetic, no allocation.
+/// arithmetic, no allocation.  As an ASIF oracle it clips commands above
+/// 0.5 to 0.5.
 struct LineOracle;
 
 impl SafetyOracle for LineOracle {
@@ -85,6 +93,20 @@ impl SafetyOracle for LineOracle {
             Some(x) => x.abs() + horizon.as_secs_f64() > 10.0,
             None => true,
         }
+    }
+    fn supports_command_checks(&self) -> bool {
+        true
+    }
+    fn project_command(
+        &self,
+        _observed: &dyn TopicRead,
+        proposed: &Value,
+        _horizon: Duration,
+    ) -> Option<Value> {
+        proposed
+            .as_float()
+            .filter(|u| *u > 0.5)
+            .map(|_| Value::Float(0.5))
     }
 }
 
@@ -118,8 +140,9 @@ halt
 
 /// An RTA module plus a fast free node: every firing kind (DM with monitor
 /// check, gated VM-hosted AC, enabled SC, free node) runs inside the
-/// measured window.
-fn system() -> RtaSystem {
+/// measured window.  Under [`FilterKind::Asif`] the AC fires behind the
+/// projecting gate, which clips every command it proposes.
+fn system(filter: FilterKind) -> RtaSystem {
     let controller = |name: &str, v: f64| {
         FnNode::builder(name)
             .subscribes(["state"])
@@ -135,6 +158,7 @@ fn system() -> RtaSystem {
         .safe(controller("sc", -1.0))
         .delta(Duration::from_millis(100))
         .oracle(LineOracle)
+        .filter(filter)
         .build()
         .expect("line module is well-formed");
     let mut phase = 0.0f64;
@@ -156,13 +180,13 @@ fn system() -> RtaSystem {
     sys
 }
 
-fn run_steady_state(schedule: JitterSchedule) -> u64 {
+fn run_steady_state(schedule: JitterSchedule, filter: FilterKind) -> u64 {
     let config = ExecutorConfig {
         schedule,
         record_trace: false,
         monitor_invariants: true,
     };
-    let mut exec = Executor::with_config(system(), config);
+    let mut exec = Executor::with_config(system(filter), config);
     // state = 7: inside φ_safe, outside φ_safer — the DM evaluates its full
     // switching logic every Δ yet never switches, so the measured window
     // contains no mode-switch bookkeeping growth.
@@ -197,7 +221,7 @@ fn run_steady_state_batch(schedule: JitterSchedule, width: usize) -> u64 {
     let instances = (0..width)
         .map(|_| {
             (
-                system(),
+                system(FilterKind::ExplicitSimplex),
                 ExecutorConfig {
                     schedule: schedule.clone(),
                     record_trace: false,
@@ -237,6 +261,7 @@ fn run_steady_state_batch(schedule: JitterSchedule, width: usize) -> u64 {
 
 #[test]
 fn steady_state_step_instant_allocates_nothing() {
+    command_oracles_allocate_nothing();
     // Ideal calendar and a jittered one (the i.i.d. sampler draws from its
     // RNG on every reschedule): both must be allocation-free per firing.
     for (label, schedule) in [
@@ -255,15 +280,110 @@ fn steady_state_step_instant_allocates_nothing() {
             },
         ),
     ] {
-        let allocs = run_steady_state(schedule.clone());
-        assert_eq!(
-            allocs, 0,
-            "steady-state executor allocated {allocs} times under the {label} schedule"
-        );
+        for filter in [FilterKind::ExplicitSimplex, FilterKind::Asif] {
+            let allocs = run_steady_state(schedule.clone(), filter);
+            assert_eq!(
+                allocs, 0,
+                "steady-state executor allocated {allocs} times under the {label} schedule \
+                 with the {filter} filter"
+            );
+        }
         let allocs = run_steady_state_batch(schedule, 8);
         assert_eq!(
             allocs, 0,
             "steady-state lockstep batch allocated {allocs} times under the {label} schedule"
         );
     }
+}
+
+/// Counts the allocations `probe` makes over 200 calls, after 20 warm-up
+/// calls.
+fn allocations_of(mut probe: impl FnMut()) -> u64 {
+    for _ in 0..20 {
+        probe();
+    }
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    COUNTING.with(|c| c.set(true));
+    for _ in 0..200 {
+        probe();
+    }
+    COUNTING.with(|c| c.set(false));
+    ALLOCATIONS.load(Ordering::Relaxed) - before
+}
+
+/// The command-level oracle path of the drone stack allocates nothing: the
+/// motion-primitive implicit-Simplex check and ASIF projection (pass-through,
+/// certified bisection, and the exact fallback of a horizon longer than a
+/// projection ray records), and the four separation-oracle entry points,
+/// with every peer observed and with one peer missing.
+fn command_oracles_allocate_nothing() {
+    let config = DroneStackConfig::default();
+    let mpr = config.mpr_oracle();
+    let cmd = |a: Vec3| topics::control_to_value(&ControlInput::accel(a));
+    let state = |p: Vec3, v: Vec3| {
+        topics::state_to_value(&DroneState {
+            position: p,
+            velocity: v,
+        })
+    };
+    // 2 m short of a house face, 2 m/s towards it, proposing a dash at it:
+    // braking is admissible, the dash is not, so the projection bisects.
+    let mut observed = TopicMap::new();
+    observed.insert(
+        topics::LOCAL_POSITION,
+        state(Vec3::new(7.0, 13.0, 3.0), Vec3::new(2.0, 0.0, 0.0)),
+    );
+    let dash = cmd(Vec3::new(6.0, 0.0, 0.0));
+    let hover = cmd(Vec3::ZERO);
+    let (delta2, long) = (Duration::from_millis(200), Duration::from_secs(1));
+    let clipped = MotionPrimitiveOracle::project_command(&mpr, &observed, &dash, delta2)
+        .and_then(|v| topics::value_to_control(&v))
+        .expect("the dash is clipped");
+    assert!(clipped.acceleration.x > -6.0 && clipped.acceleration.x < 6.0);
+    assert!(MotionPrimitiveOracle::project_command(&mpr, &observed, &hover, delta2).is_none());
+    let allocs = allocations_of(|| {
+        std::hint::black_box(mpr.command_may_leave_safe(&observed, &dash, delta2));
+        std::hint::black_box(mpr.project_command(&observed, &dash, delta2));
+        std::hint::black_box(mpr.project_command(&observed, &hover, delta2));
+        std::hint::black_box(mpr.project_command(&observed, &dash, long));
+    });
+    assert_eq!(
+        allocs, 0,
+        "the motion-primitive command checks allocated {allocs} times"
+    );
+
+    let peer_topics = ["drone1/localPosition", "drone2/localPosition"];
+    let separation = SeparationOracle::new(
+        "drone0",
+        config.mpr_oracle(),
+        peer_topics.iter().map(|t| t.to_string()).collect(),
+        PeerSeparation::new(
+            ForwardReach::new(QuadrotorDynamics::default(), 0.01, 0.1),
+            1.5,
+        ),
+        config.safer_factor,
+        config.delta_mpr.as_secs_f64(),
+    );
+    let mut observed = TopicMap::new();
+    observed.insert(
+        "drone0/localPosition",
+        state(Vec3::new(4.0, 20.0, 3.0), Vec3::new(0.0, 1.0, 0.0)),
+    );
+    observed.insert(peer_topics[0], state(Vec3::new(4.0, 26.0, 3.0), Vec3::ZERO));
+    let one_missing = observed.clone();
+    observed.insert(
+        peer_topics[1],
+        state(Vec3::new(44.0, 44.0, 3.0), Vec3::ZERO),
+    );
+    for view in [&observed, &one_missing] {
+        let allocs = allocations_of(|| {
+            std::hint::black_box(separation.is_safe(view));
+            std::hint::black_box(separation.is_safer(view));
+            std::hint::black_box(separation.may_leave_safe_within(view, delta2));
+            std::hint::black_box(separation.command_may_leave_safe(view, &dash, delta2));
+        });
+        assert_eq!(allocs, 0, "the separation oracle allocated {allocs} times");
+    }
+    assert!(!separation.is_safe(&one_missing));
+    assert!(separation.may_leave_safe_within(&one_missing, delta2));
 }
