@@ -10,6 +10,7 @@
 //! always satisfies `φ_plan`.
 
 use crate::traits::MotionPlanner;
+use crate::validate::shortcut;
 use serde::{Deserialize, Serialize};
 use soter_sim::vec3::Vec3;
 use soter_sim::world::{ClearanceChecker, Workspace};
@@ -95,26 +96,6 @@ impl GridAstar {
 
     fn heuristic(&self, a: (i64, i64, i64), b: (i64, i64, i64)) -> f64 {
         self.to_point(a).distance(&self.to_point(b))
-    }
-
-    fn shortcut(&self, workspace: &Workspace, path: Vec<Vec3>) -> Vec<Vec3> {
-        if path.len() <= 2 {
-            return path;
-        }
-        let mut out = vec![path[0]];
-        let mut i = 0usize;
-        while i + 1 < path.len() {
-            let mut j = path.len() - 1;
-            while j > i + 1 {
-                if workspace.segment_is_free_with_margin(path[i], path[j], self.config.margin) {
-                    break;
-                }
-                j -= 1;
-            }
-            out.push(path[j]);
-            i = j;
-        }
-        out
     }
 }
 
@@ -264,7 +245,7 @@ impl MotionPlanner for GridAstar {
         if let Some(last) = path.last_mut() {
             *last = goal;
         }
-        Some(self.shortcut(workspace, path))
+        Some(shortcut(&checker, path))
     }
 }
 

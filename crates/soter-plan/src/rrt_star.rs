@@ -9,11 +9,12 @@
 //! quite reliable; its fault-injected variant lives in [`crate::buggy`]).
 
 use crate::traits::MotionPlanner;
+use crate::validate::shortcut;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use soter_sim::vec3::Vec3;
-use soter_sim::world::Workspace;
+use soter_sim::world::{ClearanceChecker, Workspace};
 
 /// RRT* configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -56,12 +57,12 @@ struct TreeNode {
 }
 
 /// A uniform bucket grid over the workspace bounds, indexing tree nodes by
-/// position for the planner's two hot queries.  Both queries reproduce a
-/// linear scan over squared distances, tie-breaks included: `nearest`
-/// returns the lexicographically minimal `(d², index)` pair (a linear
-/// scan's first-minimum) and `within` returns indices in ascending order
-/// (a linear scan's emission order).  Squared distances order identically
-/// to true distances in exact arithmetic; versus the historical
+/// position for the planner's two hot queries.  Both reproduce a linear
+/// scan over squared distances: `nearest` returns the lexicographically
+/// minimal `(d², index)` pair (a linear scan's first-minimum) and `within`
+/// returns exactly the linear scan's `(index, d²)` set, in bucket order —
+/// its consumers in `plan` are order-free.  Squared distances order
+/// identically to true distances in exact arithmetic; versus the historical
 /// `fl(sqrt(d²))`-based scan they can differ only when two distances
 /// collide within one sqrt ulp — the pinned golden suite verifies that no
 /// shipped scenario is affected.
@@ -171,7 +172,6 @@ impl BucketGrid {
                 }
             });
         }
-        let _ = found;
         best
     }
 
@@ -192,12 +192,12 @@ impl BucketGrid {
         (b_lo - v).max(v - b_hi).max(0.0)
     }
 
-    /// Collects into `out` the indices of all nodes within `radius` of
-    /// `p`, ascending (the linear scan's order).  Whole (x, y) columns of
+    /// Collects into `out` every node within `radius` of `p` as an
+    /// `(index, d²)` pair, in bucket order.  Whole (x, y) columns of
     /// buckets are pruned by their conservative squared gap to `p` — a
     /// pruned column's points all sit strictly beyond `radius`, so the
     /// result set is exactly the linear scan's.
-    fn within(&self, p: Vec3, radius: f64, out: &mut Vec<usize>) {
+    fn within(&self, p: Vec3, radius: f64, out: &mut Vec<(usize, f64)>) {
         out.clear();
         let c = self.coords(p);
         let r2 = radius * radius;
@@ -211,14 +211,14 @@ impl BucketGrid {
                 }
                 for z in (c[2] - reach).max(0)..=(c[2] + reach).min(self.dims[2] - 1) {
                     for &(i, pos) in &self.buckets[self.bucket_index([x, y, z])] {
-                        if (pos - p).norm_squared() <= r2 {
-                            out.push(i as usize);
+                        let d2 = (pos - p).norm_squared();
+                        if d2 <= r2 {
+                            out.push((i as usize, d2));
                         }
                     }
                 }
             }
         }
-        out.sort_unstable();
     }
 }
 
@@ -229,7 +229,7 @@ pub struct RrtStar {
     rng: SmallRng,
     /// Neighbourhood scratch, reused across iterations so the inner loop
     /// allocates nothing (tree growth aside).
-    neighbor_scratch: Vec<usize>,
+    neighbor_scratch: Vec<(usize, f64)>,
 }
 
 impl Default for RrtStar {
@@ -275,12 +275,7 @@ impl RrtStar {
     }
 
     /// Extracts and shortcut-smooths the path ending at `goal_index`.
-    fn extract_path(
-        &self,
-        workspace: &Workspace,
-        tree: &[TreeNode],
-        goal_index: usize,
-    ) -> Vec<Vec3> {
+    fn extract_path(checker: &ClearanceChecker, tree: &[TreeNode], goal_index: usize) -> Vec<Vec3> {
         let mut path = Vec::new();
         let mut idx = Some(goal_index);
         while let Some(i) = idx {
@@ -288,29 +283,7 @@ impl RrtStar {
             idx = tree[i].parent;
         }
         path.reverse();
-        self.shortcut(workspace, path)
-    }
-
-    /// Greedy shortcutting: repeatedly skip intermediate waypoints whenever
-    /// the direct segment is free.
-    fn shortcut(&self, workspace: &Workspace, path: Vec<Vec3>) -> Vec<Vec3> {
-        if path.len() <= 2 {
-            return path;
-        }
-        let mut out = vec![path[0]];
-        let mut i = 0usize;
-        while i + 1 < path.len() {
-            let mut j = path.len() - 1;
-            while j > i + 1 {
-                if workspace.segment_is_free_with_margin(path[i], path[j], self.config.margin) {
-                    break;
-                }
-                j -= 1;
-            }
-            out.push(path[j]);
-            i = j;
-        }
-        out
+        shortcut(checker, path)
     }
 }
 
@@ -367,22 +340,37 @@ impl MotionPlanner for RrtStar {
             if !edge_free(nearest, tree[nearest].position, new_pos) {
                 continue;
             }
-            // Choose the best parent within the neighbourhood.
+            // Choose the best parent within the neighbourhood: the
+            // lexicographic minimum of `(cost via i, i)` over edge-free
+            // neighbours strictly cheaper than via `nearest`, else
+            // `nearest` — what a strict-`<` scan in ascending index order
+            // picks.  The neighbours arrive in bucket order, so an exact
+            // cost tie (the goal-bias sample inserts the goal position more
+            // than once) falls to the lower index, except against the
+            // initial incumbent, which only a strictly cheaper neighbour
+            // displaces.  `edge_free` is pure, so checking fewer or more
+            // edges cannot change the pick.  `d².sqrt()` is bitwise
+            // `Vec3::distance`: same operands, same operations.
             let mut parent = nearest;
             let mut cost = tree[nearest].cost + tree[nearest].position.distance(&new_pos);
+            let mut displaced = false;
             let mut neighbors = std::mem::take(&mut self.neighbor_scratch);
             grid.within(new_pos, cfg.neighbor_radius, &mut neighbors);
-            for &i in &neighbors {
+            for &(i, d2) in &neighbors {
                 // Distances are non-negative, so a neighbour whose cost
-                // alone reaches the incumbent can never win (strict `<`) —
-                // skip it before paying for the square root.
-                if tree[i].cost >= cost {
+                // alone exceeds the incumbent can never win — skip it
+                // before paying for the square root.  (Not `>=`: an exact
+                // tie may still win on index.)
+                if tree[i].cost > cost {
                     continue;
                 }
-                let candidate_cost = tree[i].cost + tree[i].position.distance(&new_pos);
-                if candidate_cost < cost && edge_free(i, tree[i].position, new_pos) {
+                let candidate_cost = tree[i].cost + d2.sqrt();
+                let wins =
+                    candidate_cost < cost || candidate_cost == cost && displaced && i < parent;
+                if wins && edge_free(i, tree[i].position, new_pos) {
                     parent = i;
                     cost = candidate_cost;
+                    displaced = true;
                 }
             }
             let new_index = tree.len();
@@ -393,14 +381,17 @@ impl MotionPlanner for RrtStar {
             });
             grid.insert(new_pos, new_index as u32);
             // Rewire the neighbourhood through the new node when cheaper.
-            for &i in &neighbors {
+            // Each test reads only neighbour `i` and the new node's cost, so
+            // the visiting order is irrelevant; `d²` is symmetric to the bit
+            // (a negated difference squares identically).
+            for &(i, d2) in &neighbors {
                 // Same prefilter in reverse: rewiring needs
                 // `cost + d + 1e-9 < tree[i].cost`, impossible once the new
                 // node's cost alone reaches the neighbour's.
                 if cost + 1e-9 >= tree[i].cost {
                     continue;
                 }
-                let through_new = cost + new_pos.distance(&tree[i].position);
+                let through_new = cost + d2.sqrt();
                 if through_new + 1e-9 < tree[i].cost && edge_free(i, new_pos, tree[i].position) {
                     tree[i].parent = Some(new_index);
                     tree[i].cost = through_new;
@@ -422,7 +413,7 @@ impl MotionPlanner for RrtStar {
             }
         }
         let (goal_parent, _) = best_goal?;
-        let mut path = self.extract_path(workspace, &tree, goal_parent);
+        let mut path = Self::extract_path(&checker, &tree, goal_parent);
         if path
             .last()
             .map(|p| p.distance(&goal) > 1e-9)
@@ -444,9 +435,10 @@ mod tests {
     use crate::validate::validate_plan;
 
     /// The bucket grid must reproduce the plain linear scans *exactly* —
-    /// argmin tie-breaking and neighbour emission order included — on
-    /// random point clouds (including stacked duplicate positions, the
-    /// worst case for ties).
+    /// argmin tie-breaking, the neighbour set and each neighbour's `d²`
+    /// included (the neighbour order is unspecified) — on random point
+    /// clouds (including stacked duplicate positions, the worst case for
+    /// ties).
     #[test]
     fn bucket_grid_matches_linear_scans() {
         use rand::rngs::SmallRng;
@@ -493,12 +485,16 @@ mod tests {
                     naive_best = i;
                 }
                 if d <= radius {
-                    naive_within.push(i);
+                    naive_within.push((i, (n.position - q).norm_squared()));
                 }
             }
             assert_eq!(grid.nearest(q), naive_best, "round {round}");
             grid.within(q, radius, &mut scratch);
-            assert_eq!(scratch, naive_within, "round {round}");
+            scratch.sort_unstable_by_key(|&(i, _)| i);
+            let bits = |v: &[(usize, f64)]| -> Vec<(usize, u64)> {
+                v.iter().map(|&(i, d2)| (i, d2.to_bits())).collect()
+            };
+            assert_eq!(bits(&scratch), bits(&naive_within), "round {round}");
         }
     }
 
@@ -620,7 +616,7 @@ mod tests {
             Vec3::new(4.5, 30.0, 2.5),
             Vec3::new(3.0, 40.0, 2.5),
         ];
-        let short = p.shortcut(&w, zigzag.clone());
+        let short = shortcut(&w.clearance_checker(p.config().margin), zigzag.clone());
         assert!(short.len() < zigzag.len());
         assert_eq!(short[0], zigzag[0]);
         assert_eq!(*short.last().unwrap(), *zigzag.last().unwrap());

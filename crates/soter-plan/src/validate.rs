@@ -9,7 +9,7 @@
 
 use serde::{Deserialize, Serialize};
 use soter_sim::vec3::Vec3;
-use soter_sim::world::Workspace;
+use soter_sim::world::{ClearanceChecker, Workspace};
 use std::fmt;
 
 /// Why a plan was rejected.
@@ -72,6 +72,29 @@ pub fn validate_plan(
         }
     }
     Ok(())
+}
+
+/// Greedy shortcutting shared by the planners: from each kept waypoint,
+/// jump to the farthest later waypoint whose direct segment is free at the
+/// checker's margin.
+pub(crate) fn shortcut(checker: &ClearanceChecker, path: Vec<Vec3>) -> Vec<Vec3> {
+    if path.len() <= 2 {
+        return path;
+    }
+    let mut out = vec![path[0]];
+    let mut i = 0usize;
+    while i + 1 < path.len() {
+        let mut j = path.len() - 1;
+        while j > i + 1 {
+            if checker.segment_free(path[i], path[j]) {
+                break;
+            }
+            j -= 1;
+        }
+        out.push(path[j]);
+        i = j;
+    }
+    out
 }
 
 /// Total Euclidean length of a plan (metres).

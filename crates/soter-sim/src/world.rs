@@ -506,6 +506,20 @@ mod tests {
                 w.region_is_free_with_margin(&region, m)
             );
         }
+
+        #[test]
+        fn prop_checker_segment_matches_margin_query(
+            ax in -2.0..52.0f64, ay in -2.0..52.0f64, az in -1.0..13.0f64,
+            bx in -2.0..52.0f64, by in -2.0..52.0f64, bz in -1.0..13.0f64,
+            m in 0.0..1.0f64
+        ) {
+            let w = Workspace::city_block();
+            let (a, b) = (Vec3::new(ax, ay, az), Vec3::new(bx, by, bz));
+            prop_assert_eq!(
+                w.clearance_checker(m).segment_free(a, b),
+                w.segment_is_free_with_margin(a, b, m)
+            );
+        }
     }
 }
 
