@@ -5,8 +5,8 @@
 //! wrapped the planner in an RTA module to guarantee `φ_plan`.
 //! [`BuggyRrtStar`] reproduces that setup: with a configurable probability
 //! per query it takes a buggy code path that skips collision checking and
-//! returns the straight start→goal segment (even when blocked), or drops an
-//! intermediate waypoint from an otherwise-valid plan.
+//! returns the straight start→goal segment (even when blocked); every other
+//! query is answered by the correct planner.
 
 use crate::rrt_star::{RrtStar, RrtStarConfig};
 use crate::traits::MotionPlanner;

@@ -49,19 +49,13 @@ impl Default for RrtStarConfig {
     }
 }
 
-#[derive(Debug, Clone)]
-struct TreeNode {
-    position: Vec3,
-    parent: Option<usize>,
-    cost: f64,
-}
-
 /// A uniform bucket grid over the workspace bounds, indexing tree nodes by
 /// position for the planner's two hot queries.  Both reproduce a linear
 /// scan over squared distances: `nearest` returns the lexicographically
 /// minimal `(d², index)` pair (a linear scan's first-minimum) and `within`
 /// returns exactly the linear scan's `(index, d²)` set, in bucket order —
-/// its consumers in `plan` are order-free.  Squared distances order
+/// its consumers in `plan` are order-free.  Nodes are inserted in index
+/// order, so indices rise within every bucket.  Squared distances order
 /// identically to true distances in exact arithmetic; versus the historical
 /// `fl(sqrt(d²))`-based scan they can differ only when two distances
 /// collide within one sqrt ulp — the pinned golden suite verifies that no
@@ -72,7 +66,7 @@ struct BucketGrid {
     cell: f64,
     dims: [i64; 3],
     /// Entries carry the position inline so bucket scans read densely
-    /// instead of chasing indices through the tree array.
+    /// instead of chasing indices through the tree arrays.
     buckets: Vec<Vec<(u32, Vec3)>>,
 }
 
@@ -110,7 +104,7 @@ impl BucketGrid {
 
     /// Visits every bucket whose Chebyshev cell distance from `c` is
     /// exactly `ring`.
-    fn for_ring(&self, c: [i64; 3], ring: i64, mut f: impl FnMut([i64; 3], &[(u32, Vec3)])) {
+    fn for_ring(&self, c: [i64; 3], ring: i64, mut f: impl FnMut(&[(u32, Vec3)])) {
         let (x0, x1) = (c[0] - ring, c[0] + ring);
         for x in x0.max(0)..=x1.min(self.dims[0] - 1) {
             for y in (c[1] - ring).max(0)..=(c[1] + ring).min(self.dims[1] - 1) {
@@ -122,7 +116,7 @@ impl BucketGrid {
                         || z == c[2] - ring
                         || z == c[2] + ring;
                     if ring == 0 || on_ring {
-                        f([x, y, z], &self.buckets[self.bucket_index([x, y, z])]);
+                        f(&self.buckets[self.bucket_index([x, y, z])]);
                     }
                 }
             }
@@ -141,38 +135,72 @@ impl BucketGrid {
         (dx * dx + dy * dy + dz * dz) * (1.0 - 1e-9)
     }
 
+    /// Lowers `best`, a `(d², index)` pair, to the lexicographically
+    /// minimal entry of one bucket when that entry is smaller.  A
+    /// branch-free fold finds the bucket's minimal `d²`; only when it can
+    /// win does a second pass look for the first entry at that minimum,
+    /// which carries the lowest index because indices rise within a
+    /// bucket.  Recomputing an entry's `d²` reproduces the fold's bits.
+    fn bucket_nearest(p: Vec3, bucket: &[(u32, Vec3)], best: &mut (f64, usize)) {
+        let d2 = bucket.iter().fold(f64::INFINITY, |m, &(_, pos)| {
+            let d2 = (pos - p).norm_squared();
+            if d2 < m {
+                d2
+            } else {
+                m
+            }
+        });
+        if d2 > best.0 {
+            return;
+        }
+        if let Some(&(i, _)) = bucket
+            .iter()
+            .find(|&&(_, pos)| (pos - p).norm_squared() == d2)
+        {
+            if d2 < best.0 || (i as usize) < best.1 {
+                *best = (d2, i as usize);
+            }
+        }
+    }
+
     /// The index of the node nearest to `p` (first index on exact
     /// squared-distance ties, like a linear scan; see the type-level note
-    /// on squared-distance comparisons).
+    /// on squared-distance comparisons).  The home bucket — or, when it is
+    /// empty, the first ring of buckets holding any node — bounds the
+    /// answer's `d²`; then only the buckets overlapping the box of that
+    /// radius around `p` can hold a nearer node.  Every node within
+    /// `sqrt(d²)` of `p` lies in the box because `coords` is monotone per
+    /// axis; the slack on the radius covers the rounding of `p ± r`.
     fn nearest(&self, p: Vec3) -> usize {
         let c = self.coords(p);
-        let max_ring = self.dims.iter().copied().max().unwrap_or(1);
-        let mut best = 0usize;
-        let mut best_d2 = f64::INFINITY;
-        let mut found = false;
-        for ring in 0..=max_ring {
-            // Ring-level pruning: reaching a ring-`ring` bucket crosses at
-            // least `ring - 1` whole cell layers (conservatively slacked;
-            // over-scanning never changes the argmin).
-            let bound = ((ring - 1).max(0) as f64 * self.cell) * (1.0 - 1e-12);
-            if found && bound > 0.0 && bound * bound > best_d2 {
-                break;
-            }
-            self.for_ring(c, ring, |bucket_c, bucket| {
-                if bucket.is_empty() || (found && self.bucket_min_dist2(p, bucket_c) > best_d2) {
-                    return;
-                }
-                for &(i, pos) in bucket {
-                    let d2 = (pos - p).norm_squared();
-                    if d2 < best_d2 || (d2 == best_d2 && (i as usize) < best) {
-                        best_d2 = d2;
-                        best = i as usize;
-                        found = true;
-                    }
-                }
+        let mut best = (f64::INFINITY, usize::MAX);
+        // Rings `0..seeded` have been scanned in full.
+        let mut seeded = 0;
+        while best.0 == f64::INFINITY && seeded < self.dims.iter().copied().max().unwrap_or(1) {
+            self.for_ring(c, seeded, |bucket| {
+                Self::bucket_nearest(p, bucket, &mut best)
             });
+            seeded += 1;
         }
-        best
+        let r = best.0.sqrt() * (1.0 + 1e-9) + 1e-9;
+        let lo = self.coords(p - Vec3::new(r, r, r));
+        let hi = self.coords(p + Vec3::new(r, r, r));
+        for x in lo[0]..=hi[0] {
+            for y in lo[1]..=hi[1] {
+                for z in lo[2]..=hi[2] {
+                    let ring = (x - c[0]).abs().max((y - c[1]).abs()).max((z - c[2]).abs());
+                    let bucket = &self.buckets[self.bucket_index([x, y, z])];
+                    if ring < seeded
+                        || bucket.is_empty()
+                        || self.bucket_min_dist2(p, [x, y, z]) > best.0
+                    {
+                        continue;
+                    }
+                    Self::bucket_nearest(p, bucket, &mut best);
+                }
+            }
+        }
+        best.1
     }
 
     /// The conservative gap between coordinate `v` and bucket slab `ci`
@@ -192,16 +220,19 @@ impl BucketGrid {
         (b_lo - v).max(v - b_hi).max(0.0)
     }
 
-    /// Collects into `out` every node within `radius` of `p` as an
-    /// `(index, d²)` pair, in bucket order.  Whole (x, y) columns of
-    /// buckets are pruned by their conservative squared gap to `p` — a
-    /// pruned column's points all sit strictly beyond `radius`, so the
-    /// result set is exactly the linear scan's.
-    fn within(&self, p: Vec3, radius: f64, out: &mut Vec<(usize, f64)>) {
-        out.clear();
+    /// Writes every node within `radius` of `p` as an `(index, d²)` pair,
+    /// in bucket order, to the front of `out` and returns how many there
+    /// are; `out` only grows, and entries past the count are stale.  Whole
+    /// (x, y) columns of buckets are pruned by their conservative squared
+    /// gap to `p` — a pruned column's points all sit strictly beyond
+    /// `radius`, so the result set is exactly the linear scan's.  Every
+    /// scanned pair is written unconditionally and the count advances only
+    /// past the ones in range, so the scan has no data-dependent branch.
+    fn within(&self, p: Vec3, radius: f64, out: &mut Vec<(usize, f64)>) -> usize {
         let c = self.coords(p);
         let r2 = radius * radius;
         let reach = (radius / self.cell).ceil() as i64;
+        let mut count = 0;
         for x in (c[0] - reach).max(0)..=(c[0] + reach).min(self.dims[0] - 1) {
             let gx = self.axis_gap(p.x, self.min.x, x, self.dims[0]);
             for y in (c[1] - reach).max(0)..=(c[1] + reach).min(self.dims[1] - 1) {
@@ -210,15 +241,19 @@ impl BucketGrid {
                     continue;
                 }
                 for z in (c[2] - reach).max(0)..=(c[2] + reach).min(self.dims[2] - 1) {
-                    for &(i, pos) in &self.buckets[self.bucket_index([x, y, z])] {
+                    let bucket = &self.buckets[self.bucket_index([x, y, z])];
+                    if out.len() < count + bucket.len() {
+                        out.resize(count + bucket.len(), (0, 0.0));
+                    }
+                    for &(i, pos) in bucket {
                         let d2 = (pos - p).norm_squared();
-                        if d2 <= r2 {
-                            out.push((i as usize, d2));
-                        }
+                        out[count] = (i as usize, d2);
+                        count += usize::from(d2 <= r2);
                     }
                 }
             }
         }
+        count
     }
 }
 
@@ -227,9 +262,6 @@ impl BucketGrid {
 pub struct RrtStar {
     config: RrtStarConfig,
     rng: SmallRng,
-    /// Neighbourhood scratch, reused across iterations so the inner loop
-    /// allocates nothing (tree growth aside).
-    neighbor_scratch: Vec<(usize, f64)>,
 }
 
 impl Default for RrtStar {
@@ -244,7 +276,6 @@ impl RrtStar {
         RrtStar {
             config,
             rng: SmallRng::seed_from_u64(config.seed),
-            neighbor_scratch: Vec::new(),
         }
     }
 
@@ -275,12 +306,17 @@ impl RrtStar {
     }
 
     /// Extracts and shortcut-smooths the path ending at `goal_index`.
-    fn extract_path(checker: &ClearanceChecker, tree: &[TreeNode], goal_index: usize) -> Vec<Vec3> {
+    fn extract_path(
+        checker: &ClearanceChecker,
+        positions: &[Vec3],
+        parents: &[Option<usize>],
+        goal_index: usize,
+    ) -> Vec<Vec3> {
         let mut path = Vec::new();
         let mut idx = Some(goal_index);
         while let Some(i) = idx {
-            path.push(tree[i].position);
-            idx = tree[i].parent;
+            path.push(positions[i]);
+            idx = parents[i];
         }
         path.reverse();
         shortcut(checker, path)
@@ -308,19 +344,19 @@ impl MotionPlanner for RrtStar {
         // would.
         let start_margin_ok = checker.point_free(start);
         let goal_margin_ok = checker.point_free(goal);
-        let mut tree = vec![TreeNode {
-            position: start,
-            parent: None,
-            cost: 0.0,
-        }];
+        // The tree as parallel arrays: the per-neighbour passes below
+        // gather from the dense `costs` array alone.
+        let mut positions = vec![start];
+        let mut parents: Vec<Option<usize>> = vec![None];
+        let mut costs = vec![0.0f64];
         let b = workspace.bounds();
-        // Radius-sized cells won the layout shootout: the 3x3x3
-        // neighbourhood block needs no ring logic, and finer cells pay more
-        // in bucket-iteration overhead than they save in distance tests.
-        // The cell size only affects performance, never results (queries
-        // filter by the true radius), so degenerate configurations —
-        // neighbor_radius of zero, or tiny radii that would explode the
-        // bucket count — fall back to a 1 m floor.
+        // Radius-sized cells: `within` then walks at most the 3x3x3 block
+        // around the new node, and `nearest` walks the few cells its
+        // bounding box covers (half-radius cells measured slower: more
+        // buckets per `within`).  The cell size only affects performance,
+        // never results (queries filter by true distances), so degenerate
+        // configurations — neighbor_radius of zero, or tiny radii that
+        // would explode the bucket count — fall back to a 1 m floor.
         // Every non-start node inserted below is point-free at the query
         // margin (the `edge_free` precondition).
         let mut grid = BucketGrid::new(b.min, b.max, cfg.neighbor_radius.max(1.0));
@@ -329,75 +365,82 @@ impl MotionPlanner for RrtStar {
         // node 0 can fail it, see above) plus obstacle clearance.
         let edge_free =
             |i: usize, a: Vec3, b: Vec3| (i != 0 || start_margin_ok) && checker.segment_clear(a, b);
+        // Per-query scratch, grown on demand and never shrunk: the
+        // neighbourhood as `(index, d²)` pairs and the choose-parent
+        // candidates as `(cost via i, i)` pairs.
+        let mut scratch = Vec::new();
+        let mut candidates: Vec<(f64, usize)> = Vec::new();
         let mut best_goal: Option<(usize, f64)> = None;
         for _ in 0..cfg.max_iterations {
             let sample = self.sample(workspace, goal);
             let nearest = grid.nearest(sample);
-            let new_pos = self.steer(tree[nearest].position, sample);
+            let new_pos = self.steer(positions[nearest], sample);
             if !checker.point_free(new_pos) {
                 continue;
             }
-            if !edge_free(nearest, tree[nearest].position, new_pos) {
+            if !edge_free(nearest, positions[nearest], new_pos) {
                 continue;
             }
             // Choose the best parent within the neighbourhood: the
             // lexicographic minimum of `(cost via i, i)` over edge-free
             // neighbours strictly cheaper than via `nearest`, else
             // `nearest` — what a strict-`<` scan in ascending index order
-            // picks.  The neighbours arrive in bucket order, so an exact
-            // cost tie (the goal-bias sample inserts the goal position more
-            // than once) falls to the lower index, except against the
-            // initial incumbent, which only a strictly cheaper neighbour
-            // displaces.  `edge_free` is pure, so checking fewer or more
-            // edges cannot change the pick.  `d².sqrt()` is bitwise
-            // `Vec3::distance`: same operands, same operations.
+            // picks.  The candidates are edge-checked in exactly that
+            // order (each round selects the least unchecked one) and the
+            // first free one wins; `edge_free` is pure, so checking fewer
+            // edges cannot change the pick.  The pass turns each `d²` into
+            // the distance in place, for the rewire below: `d².sqrt()` is
+            // bitwise `Vec3::distance` (same operands, same operations),
+            // and every candidate is written but only kept when cheaper.
             let mut parent = nearest;
-            let mut cost = tree[nearest].cost + tree[nearest].position.distance(&new_pos);
-            let mut displaced = false;
-            let mut neighbors = std::mem::take(&mut self.neighbor_scratch);
-            grid.within(new_pos, cfg.neighbor_radius, &mut neighbors);
-            for &(i, d2) in &neighbors {
-                // Distances are non-negative, so a neighbour whose cost
-                // alone exceeds the incumbent can never win — skip it
-                // before paying for the square root.  (Not `>=`: an exact
-                // tie may still win on index.)
-                if tree[i].cost > cost {
-                    continue;
-                }
-                let candidate_cost = tree[i].cost + d2.sqrt();
-                let wins =
-                    candidate_cost < cost || candidate_cost == cost && displaced && i < parent;
-                if wins && edge_free(i, tree[i].position, new_pos) {
-                    parent = i;
-                    cost = candidate_cost;
-                    displaced = true;
-                }
+            let mut cost = costs[nearest] + positions[nearest].distance(&new_pos);
+            let count = grid.within(new_pos, cfg.neighbor_radius, &mut scratch);
+            let neighbors = &mut scratch[..count];
+            if candidates.len() < count {
+                candidates.resize(count, (0.0, 0));
             }
-            let new_index = tree.len();
-            tree.push(TreeNode {
-                position: new_pos,
-                parent: Some(parent),
-                cost,
-            });
+            let mut unchecked = 0;
+            for entry in neighbors.iter_mut() {
+                entry.1 = entry.1.sqrt();
+                let (i, d) = *entry;
+                let via = costs[i] + d;
+                candidates[unchecked] = (via, i);
+                unchecked += usize::from(via < cost);
+            }
+            while unchecked > 0 {
+                let k = (1..unchecked).fold(0, |k, j| {
+                    let (a, b) = (candidates[j], candidates[k]);
+                    if a.0 < b.0 || a.0 == b.0 && a.1 < b.1 {
+                        j
+                    } else {
+                        k
+                    }
+                });
+                let (via, i) = candidates[k];
+                if edge_free(i, positions[i], new_pos) {
+                    parent = i;
+                    cost = via;
+                    break;
+                }
+                unchecked -= 1;
+                candidates.swap(k, unchecked);
+            }
+            let new_index = positions.len();
+            positions.push(new_pos);
+            parents.push(Some(parent));
+            costs.push(cost);
             grid.insert(new_pos, new_index as u32);
             // Rewire the neighbourhood through the new node when cheaper.
             // Each test reads only neighbour `i` and the new node's cost, so
-            // the visiting order is irrelevant; `d²` is symmetric to the bit
-            // (a negated difference squares identically).
-            for &(i, d2) in &neighbors {
-                // Same prefilter in reverse: rewiring needs
-                // `cost + d + 1e-9 < tree[i].cost`, impossible once the new
-                // node's cost alone reaches the neighbour's.
-                if cost + 1e-9 >= tree[i].cost {
-                    continue;
-                }
-                let through_new = cost + d2.sqrt();
-                if through_new + 1e-9 < tree[i].cost && edge_free(i, new_pos, tree[i].position) {
-                    tree[i].parent = Some(new_index);
-                    tree[i].cost = through_new;
+            // the visiting order is irrelevant; the distance is symmetric
+            // to the bit (a negated difference squares identically).
+            for &(i, d) in neighbors.iter() {
+                let through_new = cost + d;
+                if through_new + 1e-9 < costs[i] && edge_free(i, new_pos, positions[i]) {
+                    parents[i] = Some(new_index);
+                    costs[i] = through_new;
                 }
             }
-            self.neighbor_scratch = neighbors;
             // Track the best connection to the goal (distance tests first:
             // most nodes are too far for the segment check to matter).
             let goal_gap = new_pos.distance(&goal);
@@ -413,7 +456,7 @@ impl MotionPlanner for RrtStar {
             }
         }
         let (goal_parent, _) = best_goal?;
-        let mut path = Self::extract_path(&checker, &tree, goal_parent);
+        let mut path = Self::extract_path(&checker, &positions, &parents, goal_parent);
         if path
             .last()
             .map(|p| p.distance(&goal) > 1e-9)
@@ -435,67 +478,117 @@ mod tests {
     use crate::validate::validate_plan;
 
     /// The bucket grid must reproduce the plain linear scans *exactly* —
-    /// argmin tie-breaking, the neighbour set and each neighbour's `d²`
-    /// included (the neighbour order is unspecified) — on random point
-    /// clouds (including stacked duplicate positions, the worst case for
-    /// ties).
+    /// argmin tie-breaking and its `d²`, the neighbour set and each
+    /// neighbour's `d²` included (the neighbour order is unspecified) — on
+    /// random point clouds (including stacked duplicate positions, the
+    /// worst case for ties).  Queries also land exactly on the bounds and
+    /// outside them (the clamped boundary cells extend to infinity), hit
+    /// empty home buckets while the cloud is sparse (so `nearest` seeds its
+    /// bound from a ring), and run on grids whose cell size differs from
+    /// the query radius.  One cloud sits on the whole-metre lattice, where
+    /// squared distances are exact integers and the nearest node often
+    /// ties with nodes in other buckets.
     #[test]
     fn bucket_grid_matches_linear_scans() {
         use rand::rngs::SmallRng;
         use rand::{Rng, SeedableRng};
-        let mut rng = SmallRng::seed_from_u64(42);
         let (lo, hi) = (Vec3::new(0.0, 0.0, 0.0), Vec3::new(50.0, 50.0, 12.0));
         let radius = 6.0;
-        let mut tree: Vec<TreeNode> = Vec::new();
-        let mut grid = BucketGrid::new(lo, hi, radius);
-        let mut scratch = Vec::new();
-        for round in 0..600 {
-            let rand_point = |rng: &mut SmallRng| {
-                Vec3::new(
-                    rng.random_range(lo.x..=hi.x),
-                    rng.random_range(lo.y..=hi.y),
-                    rng.random_range(lo.z..=hi.z),
-                )
-            };
-            let p = if round % 7 == 0 && !tree.is_empty() {
-                // Exact duplicate of an existing node: forces distance ties.
-                tree[round % tree.len()].position
-            } else {
-                rand_point(&mut rng)
-            };
-            grid.insert(p, tree.len() as u32);
-            tree.push(TreeNode {
-                position: p,
-                parent: None,
-                cost: 0.0,
-            });
-            let q = if round % 5 == 0 {
-                p
-            } else {
-                rand_point(&mut rng)
-            };
-            // Reference: the original linear scans.
-            let mut naive_best = 0;
-            let mut naive_d = f64::INFINITY;
-            let mut naive_within = Vec::new();
-            for (i, n) in tree.iter().enumerate() {
-                let d = n.position.distance(&q);
-                if d < naive_d {
-                    naive_d = d;
-                    naive_best = i;
+        let bits = |v: &[(usize, f64)]| -> Vec<(usize, u64)> {
+            v.iter().map(|&(i, d2)| (i, d2.to_bits())).collect()
+        };
+        let (mut empty_home, mut cross_bucket_ties) = (0, 0);
+        for (seed, cell, lattice) in [
+            (42, radius, false),
+            (7, 2.5, false),
+            (9, 13.0, false),
+            (3, radius, true),
+        ] {
+            let snap = |v: Vec3| {
+                if lattice {
+                    Vec3::new(v.x.round(), v.y.round(), v.z.round())
+                } else {
+                    v
                 }
-                if d <= radius {
-                    naive_within.push((i, (n.position - q).norm_squared()));
+            };
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut points: Vec<Vec3> = Vec::new();
+            let mut grid = BucketGrid::new(lo, hi, cell);
+            let mut scratch = Vec::new();
+            for round in 0..600 {
+                let rand_point = |rng: &mut SmallRng| {
+                    Vec3::new(
+                        rng.random_range(lo.x..=hi.x),
+                        rng.random_range(lo.y..=hi.y),
+                        rng.random_range(lo.z..=hi.z),
+                    )
+                };
+                // Per axis: a random coordinate, a bound, or beyond one.
+                let edge_point = |rng: &mut SmallRng| {
+                    let mut axis = |l: f64, h: f64| match rng.random_range(0..5) {
+                        0 => l,
+                        1 => h,
+                        2 => l - rng.random_range(0.0..20.0),
+                        3 => h + rng.random_range(0.0..20.0),
+                        _ => rng.random_range(l..=h),
+                    };
+                    Vec3::new(axis(lo.x, hi.x), axis(lo.y, hi.y), axis(lo.z, hi.z))
+                };
+                let p = snap(if round % 7 == 0 && !points.is_empty() {
+                    // Exact duplicate of an existing node: forces distance ties.
+                    points[round % points.len()]
+                } else if round % 11 == 0 {
+                    // A node on or next to the bounds.
+                    let q = edge_point(&mut rng);
+                    Vec3::new(
+                        q.x.clamp(lo.x, hi.x),
+                        q.y.clamp(lo.y, hi.y),
+                        q.z.clamp(lo.z, hi.z),
+                    )
+                } else {
+                    rand_point(&mut rng)
+                });
+                grid.insert(p, points.len() as u32);
+                points.push(p);
+                let q = snap(match round % 5 {
+                    0 => p,
+                    1 | 2 => edge_point(&mut rng),
+                    _ => rand_point(&mut rng),
+                });
+                empty_home +=
+                    usize::from(grid.buckets[grid.bucket_index(grid.coords(q))].is_empty());
+                // Reference: the plain linear scans over squared distances.
+                let mut naive_best = (0, f64::INFINITY);
+                let mut naive_within = Vec::new();
+                for (i, n) in points.iter().enumerate() {
+                    let d2 = (*n - q).norm_squared();
+                    if d2 < naive_best.1 {
+                        naive_best = (i, d2);
+                    }
+                    if d2 <= radius * radius {
+                        naive_within.push((i, d2));
+                    }
                 }
+                let home = grid.coords(points[naive_best.0]);
+                cross_bucket_ties +=
+                    usize::from(points.iter().any(|&n| {
+                        (n - q).norm_squared() == naive_best.1 && grid.coords(n) != home
+                    }));
+                let nearest = grid.nearest(q);
+                let label = format!("cell {cell}, round {round}, query {q}");
+                assert_eq!(
+                    bits(&[(nearest, (points[nearest] - q).norm_squared())]),
+                    bits(&[naive_best]),
+                    "{label}"
+                );
+                let count = grid.within(q, radius, &mut scratch);
+                let mut got = scratch[..count].to_vec();
+                got.sort_unstable_by_key(|&(i, _)| i);
+                assert_eq!(bits(&got), bits(&naive_within), "{label}");
             }
-            assert_eq!(grid.nearest(q), naive_best, "round {round}");
-            grid.within(q, radius, &mut scratch);
-            scratch.sort_unstable_by_key(|&(i, _)| i);
-            let bits = |v: &[(usize, f64)]| -> Vec<(usize, u64)> {
-                v.iter().map(|&(i, d2)| (i, d2.to_bits())).collect()
-            };
-            assert_eq!(bits(&scratch), bits(&naive_within), "round {round}");
         }
+        assert!(empty_home > 0, "no query seeded `nearest` from a ring");
+        assert!(cross_bucket_ties > 0, "no nearest-node tie across buckets");
     }
 
     #[test]

@@ -21,7 +21,8 @@ use soter_sim::world::Workspace;
 const QUERIES: usize = 40;
 
 /// The iteration budget: below the default 4000 so the quadratic reference
-/// stays fast in debug builds, still enough to solve most detours.
+/// stays fast in debug builds, still enough to solve most detours.  The
+/// shipped budget, where the tree is dense, has its own release-only case.
 const ITERATIONS: usize = 600;
 
 struct ReferenceRrtStar {
@@ -218,12 +219,12 @@ fn workspaces() -> [(&'static str, Workspace); 3] {
 /// beyond start and goal (the queries that exercised the tree).
 fn compare(
     label: &str,
-    w: &Workspace,
+    queries: Vec<(Vec3, Vec3)>,
     mut planner: impl FnMut(Vec3, Vec3) -> Option<Vec<Vec3>>,
     mut reference: impl FnMut(Vec3, Vec3) -> Option<Vec<Vec3>>,
 ) -> usize {
     let mut detours = 0;
-    for (q, (start, goal)) in queries(w, 7).into_iter().enumerate() {
+    for (q, (start, goal)) in queries.into_iter().enumerate() {
         let got = planner(start, goal);
         let want = reference(start, goal);
         assert_eq!(
@@ -245,6 +246,25 @@ fn config(overrides: impl Fn(&mut RrtStarConfig)) -> RrtStarConfig {
     cfg
 }
 
+/// Free start/goal pairs more than 5 m apart, drawn the way the stress
+/// scenario's random-target policy draws its queries.
+fn stress_queries(w: &Workspace, seed: u64) -> Vec<(Vec3, Vec3)> {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut pairs = Vec::new();
+    while pairs.len() < QUERIES {
+        let (Some(a), Some(b)) = (
+            w.sample_free_point(&mut rng, 200),
+            w.sample_free_point(&mut rng, 200),
+        ) else {
+            continue;
+        };
+        if a.distance(&b) > 5.0 {
+            pairs.push((a, b));
+        }
+    }
+    pairs
+}
+
 fn check_config(name: &str, cfg: RrtStarConfig) {
     let mut detours = 0;
     for (ws_name, w) in workspaces() {
@@ -252,7 +272,7 @@ fn check_config(name: &str, cfg: RrtStarConfig) {
         let mut reference = ReferenceRrtStar::new(cfg);
         detours += compare(
             &format!("{name}/{ws_name}"),
-            &w,
+            queries(&w, 7),
             |s, g| planner.plan(&w, s, g),
             |s, g| reference.plan(&w, s, g),
         );
@@ -278,6 +298,25 @@ fn rrt_star_matches_reference_without_neighbourhood() {
 }
 
 #[test]
+#[cfg_attr(debug_assertions, ignore = "quadratic reference; run with --release")]
+fn rrt_star_matches_reference_at_the_shipped_budget() {
+    // The default 4000 iterations grow a dense tree, where `nearest` walks
+    // its bounding box over many populated buckets and neighbourhoods are
+    // large.
+    let cfg = RrtStarConfig::default();
+    let w = Workspace::city_block();
+    let mut planner = RrtStar::new(cfg);
+    let mut reference = ReferenceRrtStar::new(cfg);
+    let detours = compare(
+        "shipped-budget/city_block",
+        stress_queries(&w, 11),
+        |s, g| planner.plan(&w, s, g),
+        |s, g| reference.plan(&w, s, g),
+    );
+    assert!(detours > 0, "shipped budget: no query exercised the tree");
+}
+
+#[test]
 fn buggy_rrt_star_matches_reference() {
     let cfg = BuggyRrtStarConfig {
         inner: config(|_| {}),
@@ -293,7 +332,7 @@ fn buggy_rrt_star_matches_reference() {
         };
         detours += compare(
             &format!("buggy/{ws_name}"),
-            &w,
+            queries(&w, 7),
             |s, g| planner.plan(&w, s, g),
             |s, g| reference.plan(&w, s, g),
         );
