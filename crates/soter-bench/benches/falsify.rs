@@ -1,21 +1,21 @@
-//! Falsifier schedule-evaluation throughput (schedules/second) across the
-//! execution strategies the search can use:
+//! Falsifier schedule-evaluation throughput (schedules/second), with and
+//! without the falsifier's shared planner-query cache:
 //!
-//! * `sequential-1w` / `sequential-4w` — the pre-batching path: every
-//!   candidate is an independent `run_scenario` through the work-stealing
-//!   campaign engine (no lockstep, no planner cache), at 1 and 4 workers;
-//! * `batched-cold-b8` — a fresh `Falsifier` with batch width 8: one
-//!   lockstep run over a shared compilation, planner cache cold (every
-//!   RRT*/A* query is a miss on the first evaluation);
-//! * `batched-warm-b8` — the same falsifier re-evaluating with its
-//!   planner cache warm, the steady state of a real search: every
-//!   candidate shares the base scenario's planner queries, so the lockstep
-//!   run is planner-free.  This is the configuration the ≥10x
-//!   schedules/s target is recorded against.
+//! * `sequential-1w` / `sequential-4w` — every candidate is an independent
+//!   `run_scenario` through the work-stealing campaign engine with no
+//!   planner cache, at 1 and 4 workers;
+//! * `cold` — a fresh `Falsifier` per evaluation: its planner cache is
+//!   cold, so every RRT*/A* query misses on the first candidate that asks
+//!   it and hits on the candidates after;
+//! * `warm` — the same falsifier re-evaluating with its planner cache
+//!   warm, the steady state of a real search: every candidate shares the
+//!   base scenario's planner queries, so evaluation is planner-free.  This
+//!   is the configuration the ≥10x schedules/s target is recorded against;
+//!   the whole gain is the plan cache.
 //!
-//! Candidate records are byte-identical across every strategy (pinned by
-//! `tests/falsify_gradient.rs` and asserted again here), so the rows
-//! measure pure execution strategy, not search behaviour.  Results are
+//! Candidate records are byte-identical across every row (plan-cache
+//! replay is exact; asserted again here), so the rows measure evaluation
+//! cost, not search behaviour.  Results are
 //! written as JSON to `$BENCH_OUT` (default `target/BENCH_falsify.json`);
 //! when `$BENCH_BASELINE` names a committed report, same-name entries are
 //! compared and a >25% schedules/s regression fails the run — the CI
@@ -39,11 +39,11 @@ const HORIZON: f64 = 10.0;
 /// of the default city block, with randomized inspection targets: every
 /// fresh target costs the stack a full motion-planning query threaded
 /// through 25 pillars, so planner work dominates the run — the workload
-/// class batched falsification with a shared planner cache exists for.
+/// class falsification with a shared planner cache exists for.
 /// (Cluttered workspaces are exactly where falsification campaigns are
 /// run in anger: tight corridors are where delayed firings turn into
 /// collisions.)  The seed picks a representative planner-active mission;
-/// planner-light seeds exist, and on those batching merely ties the
+/// planner-light seeds exist, and on those the cache merely ties the
 /// sequential path.
 fn base_scenario() -> Scenario {
     let mut obstacles = Vec::new();
@@ -85,7 +85,7 @@ fn space() -> ScheduleSpace {
     }
 }
 
-fn falsifier(workers: usize, batch: usize) -> Falsifier {
+fn falsifier(workers: usize) -> Falsifier {
     Falsifier::new(
         base_scenario(),
         space(),
@@ -95,7 +95,6 @@ fn falsifier(workers: usize, batch: usize) -> Falsifier {
             neighbours: 4,
             workers,
             seed: 7,
-            batch,
             ..FalsifierConfig::default()
         },
     )
@@ -118,8 +117,8 @@ fn candidates() -> Vec<JitterSchedule> {
         .collect()
 }
 
-/// The pre-batching evaluation path: one independent `run_scenario` per
-/// candidate through the campaign engine, no lockstep, no planner cache.
+/// The uncached evaluation path: one independent `run_scenario` per
+/// candidate through the campaign engine, no planner cache.
 fn sequential_records(workers: usize) -> Vec<RunRecord> {
     let scenarios: Vec<Scenario> = candidates()
         .iter()
@@ -192,30 +191,22 @@ fn main() {
         "schedules/s",
     ));
 
-    // Cold: a fresh falsifier per repetition, so every planner query of
-    // the lockstep run is a cache miss.
+    // Cold: a fresh falsifier per repetition, so each planner query is a
+    // cache miss the first time a candidate asks it.
     let schedules = candidates();
-    let (rate, records) = measure(reps, || falsifier(1, 8).evaluate(&schedules));
-    check("falsify/batched-cold-b8", rate, records);
-    entries.push(BenchEntry::new(
-        "falsify/batched-cold-b8",
-        rate,
-        "schedules/s",
-    ));
+    let (rate, records) = measure(reps, || falsifier(1).evaluate(&schedules));
+    check("falsify/cold", rate, records);
+    entries.push(BenchEntry::new("falsify/cold", rate, "schedules/s"));
 
     // Warm: one falsifier, cache warmed by an unmeasured evaluation — the
     // steady state of a running search, and the ≥10x configuration.
-    let warm = falsifier(1, 8);
+    let warm = falsifier(1);
     let _ = warm.evaluate(&schedules);
     let (rate, records) = measure(reps, || warm.evaluate(&schedules));
-    check("falsify/batched-warm-b8", rate, records);
-    entries.push(BenchEntry::new(
-        "falsify/batched-warm-b8",
-        rate,
-        "schedules/s",
-    ));
+    check("falsify/warm", rate, records);
+    entries.push(BenchEntry::new("falsify/warm", rate, "schedules/s"));
     println!(
-        "batched-warm speedup over sequential-1w: {:.1}x",
+        "warm speedup over sequential-1w: {:.1}x",
         rate / sequential_rate.max(1e-9)
     );
 

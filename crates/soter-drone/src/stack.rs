@@ -140,8 +140,7 @@ pub struct DroneStackConfig {
     /// planners are wrapped in [`CachedPlanner`]s keyed by planner kind,
     /// seed and workspace fingerprint — byte-identical to uncached planning
     /// (the cache replays exact query histories, see `soter_plan::cache`),
-    /// so batched evaluations sharing a scenario stop paying per-instance
-    /// replanning.
+    /// so runs sharing a scenario stop paying per-run replanning.
     pub plan_cache: Option<std::sync::Arc<PlanCache>>,
     /// Safety-filter strategy of the motion-primitive module (the battery
     /// and planner modules always run explicit Simplex: their oracles are

@@ -46,7 +46,7 @@
 //!   interned [`TopicName`]s, so recording is a refcount bump.
 
 use crate::schedule::{JitterSchedule, NodeId, ScheduleSampler};
-use crate::trace::{Trace, TraceEvent, TraceHasher};
+use crate::trace::{Trace, TraceEvent};
 use soter_core::composition::RtaSystem;
 use soter_core::invariant::InvariantMonitor;
 use soter_core::node::Node;
@@ -55,7 +55,6 @@ use soter_core::time::{Duration, Time};
 use soter_core::topic::{
     SlotView, TopicId, TopicInterner, TopicMap, TopicName, TopicRead, TopicWriter, Value,
 };
-use std::sync::Arc;
 
 /// A source of ENVIRONMENT-INPUT transitions: values published onto the
 /// system's environment topics from outside the node system.
@@ -104,7 +103,7 @@ impl Default for ExecutorConfig {
 
 /// Identifies a node within the system.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum NodeRef {
+enum NodeRef {
     /// Decision module of module `i`.
     Dm(usize),
     /// Advanced controller of module `i`.
@@ -118,47 +117,41 @@ pub(crate) enum NodeRef {
 /// One node's construction-time compilation: everything `fire` needs,
 /// resolved once so the firing itself touches no maps and no strings
 /// (except borrowed `&str` comparisons inside the view).
-pub(crate) struct CompiledNode {
-    pub(crate) kind: NodeRef,
-    pub(crate) name: TopicName,
-    pub(crate) period: Duration,
+struct CompiledNode {
+    kind: NodeRef,
+    name: TopicName,
+    period: Duration,
     /// Subscriptions in declaration order; parallel to `sub_ids`.
-    pub(crate) sub_names: Vec<TopicName>,
-    pub(crate) sub_ids: Vec<TopicId>,
+    sub_names: Vec<TopicName>,
+    sub_ids: Vec<TopicId>,
     /// Declared outputs in declaration order; parallel to `out_ids`.
-    pub(crate) out_names: Vec<TopicName>,
-    pub(crate) out_ids: Vec<TopicId>,
+    out_names: Vec<TopicName>,
+    out_ids: Vec<TopicId>,
 }
 
-/// The shareable construction-time compilation of an [`RtaSystem`]'s static
-/// shape: the topic interner, the per-node tables (interned names, resolved
+/// The construction-time compilation of an [`RtaSystem`]'s static shape:
+/// the topic interner, the per-node tables (interned names, resolved
 /// subscription/output ids, periods), the canonical firing order and the
-/// module-name index.
-///
-/// Compilation depends only on the system's *declarations*, never on node
-/// state, so one `CompiledSystem` behind an [`Arc`] can back any number of
-/// executors over structurally identical systems — this is what
-/// [`crate::batch::BatchExecutor`] shares across its instances instead of
-/// re-interning per instance.
-pub struct CompiledSystem {
-    pub(crate) interner: TopicInterner,
+/// module-name index.  Each executor compiles its system once and owns the
+/// result.
+struct CompiledSystem {
+    interner: TopicInterner,
     /// All nodes in canonical firing order: DMs, then ACs, then SCs (module
     /// order within each block), then free nodes.
-    pub(crate) nodes: Vec<CompiledNode>,
+    nodes: Vec<CompiledNode>,
     /// Initial OE map in node order (`true` for DMs, SCs and free nodes).
-    pub(crate) initial_oe: Vec<bool>,
+    initial_oe: Vec<bool>,
     /// Interned module names, in module order.
-    pub(crate) module_names: Vec<TopicName>,
+    module_names: Vec<TopicName>,
     /// `(module name, module index)` sorted by name, for O(log n) mode
     /// lookups by name.
-    pub(crate) module_lookup: Vec<(TopicName, usize)>,
-    fingerprint: u64,
+    module_lookup: Vec<(TopicName, usize)>,
 }
 
 impl CompiledSystem {
     /// Compiles a system's static shape.  All interning and id resolution
     /// happens here, once.
-    pub fn compile(system: &RtaSystem) -> Self {
+    fn compile(system: &RtaSystem) -> Self {
         let infos = system.all_node_infos();
         let interner = TopicInterner::new(
             infos
@@ -212,79 +205,13 @@ impl CompiledSystem {
             .map(|(i, n)| (n.clone(), i))
             .collect();
         module_lookup.sort_by(|a, b| a.0.cmp(&b.0));
-        let mut hasher = TraceHasher::new();
-        hasher.write_u64(module_names.len() as u64);
-        for n in &module_names {
-            hasher.write_str(n.as_str());
-        }
-        hasher.write_u64(nodes.len() as u64);
-        for node in &nodes {
-            let (tag, i) = match node.kind {
-                NodeRef::Dm(i) => (0u8, i),
-                NodeRef::Ac(i) => (1, i),
-                NodeRef::Sc(i) => (2, i),
-                NodeRef::Free(i) => (3, i),
-            };
-            hasher
-                .write_u8(tag)
-                .write_u64(i as u64)
-                .write_str(node.name.as_str())
-                .write_u64(node.period.as_micros());
-            hasher.write_u64(node.sub_names.len() as u64);
-            for s in &node.sub_names {
-                hasher.write_str(s.as_str());
-            }
-            hasher.write_u64(node.out_names.len() as u64);
-            for o in &node.out_names {
-                hasher.write_str(o.as_str());
-            }
-        }
-        let fingerprint = hasher.finish();
         CompiledSystem {
             interner,
             nodes,
             initial_oe,
             module_names,
             module_lookup,
-            fingerprint,
         }
-    }
-
-    /// A structural fingerprint of the compiled shape (node order, names,
-    /// periods, topic wiring).  Two systems may share a compilation **iff**
-    /// their fingerprints agree; [`crate::batch::BatchExecutor`] asserts
-    /// this for every instance — lockstep divergence is a bug, never a
-    /// tolerated drift.
-    pub fn fingerprint(&self) -> u64 {
-        self.fingerprint
-    }
-
-    /// Number of compiled nodes.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Number of interned topics.
-    pub fn topic_count(&self) -> usize {
-        self.interner.len()
-    }
-
-    /// The initial calendar: every node first due one period after zero.
-    pub(crate) fn initial_next_due(&self) -> Vec<Time> {
-        self.nodes.iter().map(|n| Time::ZERO + n.period).collect()
-    }
-
-    /// The Theorem 3.1 monitors for a concrete instance of this shape
-    /// (monitors are stateful, hence per-instance rather than compiled).
-    pub(crate) fn monitors_for(system: &RtaSystem) -> Vec<InvariantMonitor> {
-        system
-            .modules()
-            .iter()
-            .map(|m| {
-                InvariantMonitor::new(m.name(), m.oracle(), m.delta())
-                    .with_filter(m.filter(), m.command_topic())
-            })
-            .collect()
     }
 }
 
@@ -309,8 +236,8 @@ type Observer = Box<dyn FnMut(Time, &TopicMap, &ModeSnapshot) + Send>;
 pub struct Executor {
     system: RtaSystem,
     config: ExecutorConfig,
-    /// The shared static shape: interner, node tables, firing order.
-    compiled: Arc<CompiledSystem>,
+    /// The static shape: interner, node tables, firing order.
+    compiled: CompiledSystem,
     /// The global valuation: one slot per interned topic, `Unit` until
     /// first published.
     slots: Vec<Value>,
@@ -346,30 +273,16 @@ impl Executor {
     /// Creates an executor with an explicit configuration.  All interning
     /// and per-node compilation happens here, once.
     pub fn with_config(system: RtaSystem, config: ExecutorConfig) -> Self {
-        let compiled = Arc::new(CompiledSystem::compile(&system));
-        Executor::with_compiled(system, config, compiled)
-    }
-
-    /// Creates an executor over an already-compiled shape, sharing it with
-    /// other executors instead of re-interning.  The system must have the
-    /// compilation's exact structural [`CompiledSystem::fingerprint`].
-    ///
-    /// # Panics
-    ///
-    /// Panics (in debug builds, where the recheck costs nothing we care
-    /// about) if `system`'s shape differs from `compiled` — a divergent
-    /// instance in a shared compilation is a bug, never tolerated drift.
-    pub fn with_compiled(
-        system: RtaSystem,
-        config: ExecutorConfig,
-        compiled: Arc<CompiledSystem>,
-    ) -> Self {
-        debug_assert_eq!(
-            CompiledSystem::compile(&system).fingerprint(),
-            compiled.fingerprint(),
-            "system shape must match the shared compilation"
-        );
-        let monitors = CompiledSystem::monitors_for(&system);
+        let compiled = CompiledSystem::compile(&system);
+        // Monitors are stateful, hence built per run rather than compiled.
+        let monitors = system
+            .modules()
+            .iter()
+            .map(|m| {
+                InvariantMonitor::new(m.name(), m.oracle(), m.delta())
+                    .with_filter(m.filter(), m.command_topic())
+            })
+            .collect();
         let trace = if config.record_trace {
             Trace::new()
         } else {
@@ -382,7 +295,13 @@ impl Executor {
             extra: TopicMap::new(),
             system,
             config,
-            next_due: compiled.initial_next_due(),
+            // The initial calendar: every node first due one period after
+            // zero.
+            next_due: compiled
+                .nodes
+                .iter()
+                .map(|n| Time::ZERO + n.period)
+                .collect(),
             oe: compiled.initial_oe.clone(),
             compiled,
             now: Time::ZERO,
@@ -395,11 +314,6 @@ impl Executor {
             fireable_scratch: Vec::new(),
             out_scratch: Vec::new(),
         }
-    }
-
-    /// The shared compiled shape backing this executor.
-    pub fn compiled(&self) -> &Arc<CompiledSystem> {
-        &self.compiled
     }
 
     /// Replaces the schedule sampler (e.g. with a custom

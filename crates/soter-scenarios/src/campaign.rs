@@ -20,7 +20,7 @@
 //!   Dropping the stream early cancels all outstanding work.
 
 use crate::cache::{scenario_fingerprint, ResultCache};
-use crate::runner::{run_scenario_batch, run_scenario_cached, ScenarioOutcome};
+use crate::runner::{run_scenario_cached, ScenarioOutcome};
 use crate::spec::Scenario;
 use serde::{Deserialize, Serialize};
 use soter_plan::cache::PlanCache;
@@ -55,7 +55,6 @@ pub struct Campaign {
     seeds: Vec<u64>,
     workers: usize,
     channel_capacity: Option<usize>,
-    batch: usize,
     plan_cache: Option<Arc<PlanCache>>,
     result_cache: Option<Arc<ResultCache>>,
 }
@@ -69,7 +68,6 @@ impl Campaign {
             seeds: Vec::new(),
             workers: 1,
             channel_capacity: None,
-            batch: 1,
             plan_cache: None,
             result_cache: None,
         }
@@ -94,18 +92,6 @@ impl Campaign {
     /// memory when the consumer is slower than the workers.
     pub fn with_channel_capacity(mut self, capacity: usize) -> Self {
         self.channel_capacity = Some(capacity.max(1));
-        self
-    }
-
-    /// Sets the lockstep batch width (clamped to at least 1).  Each worker
-    /// claims up to `batch` jobs at a time and evaluates them through
-    /// [`run_scenario_batch`], which steps same-shape scenarios in lockstep
-    /// over one shared compilation.  Records are byte-identical to the
-    /// unbatched campaign whatever the width (pinned by
-    /// `tests/batch_equivalence.rs`), so batching is purely a throughput
-    /// knob.
-    pub fn with_batch(mut self, batch: usize) -> Self {
-        self.batch = batch.max(1);
         self
     }
 
@@ -232,7 +218,6 @@ impl Campaign {
             peak_buffered: Arc::new(AtomicUsize::new(0)),
             total: jobs.len(),
         };
-        let batch = self.batch.max(1);
         let handles = (0..workers)
             .map(|w| {
                 let jobs = Arc::clone(&jobs);
@@ -252,7 +237,6 @@ impl Campaign {
                         &cancel,
                         &panic_slot,
                         &progress,
-                        batch,
                         cache.as_ref(),
                         results.as_ref(),
                     )
@@ -270,58 +254,31 @@ impl Campaign {
     }
 }
 
-/// One worker: drain the own deque front-to-back, then steal from peers
-/// back-to-front, stopping as soon as the consumer went away.  With a
-/// batch width above 1 a worker claims up to `batch` jobs at a time and
-/// evaluates the whole chunk in lockstep through [`run_scenario_batch`];
-/// the chunk's records are sent one by one, so the buffered-record
-/// accounting is unchanged.  A panic in a job is caught, recorded in
-/// `panic_slot` and re-raised on the consumer's side when the stream
-/// drains (workers are detached threads, so an unobserved panic would
-/// otherwise silently truncate the stream); a panic inside a lockstep
-/// chunk is attributed to the chunk's first job.
-/// Evaluates one claimed chunk: jobs answered by the result cache skip
-/// simulation entirely; the misses run exactly as an uncached chunk would
-/// (single job direct, several in lockstep — byte-identical either way,
-/// pinned by `tests/batch_equivalence.rs`) and are inserted for the next
-/// campaign.  Records come back in chunk order.
-fn run_chunk(
-    chunk: &[usize],
-    jobs: &[Scenario],
+/// Runs one job: a result-cache hit skips simulation entirely; a miss runs
+/// the scenario and is inserted for the next campaign.
+fn run_job(
+    job: &Scenario,
     cache: Option<&Arc<PlanCache>>,
     result_cache: Option<&Arc<ResultCache>>,
-) -> Vec<RunRecord> {
-    let mut slots: Vec<Option<RunRecord>> = chunk
-        .iter()
-        .map(|&i| result_cache.and_then(|rc| rc.lookup(scenario_fingerprint(&jobs[i]))))
-        .collect();
-    let misses: Vec<usize> = (0..chunk.len()).filter(|&k| slots[k].is_none()).collect();
-    if !misses.is_empty() {
-        let fresh: Vec<RunRecord> = if misses.len() == 1 {
-            vec![RunRecord::from_outcome(&run_scenario_cached(
-                &jobs[chunk[misses[0]]],
-                cache,
-            ))]
-        } else {
-            let scenarios: Vec<Scenario> = misses.iter().map(|&k| jobs[chunk[k]].clone()).collect();
-            run_scenario_batch(&scenarios, cache)
-                .iter()
-                .map(RunRecord::from_outcome)
-                .collect()
-        };
-        for (&k, record) in misses.iter().zip(fresh) {
-            if let Some(rc) = result_cache {
-                rc.insert(scenario_fingerprint(&jobs[chunk[k]]), &record);
-            }
-            slots[k] = Some(record);
-        }
+) -> RunRecord {
+    let Some(rc) = result_cache else {
+        return RunRecord::from_outcome(&run_scenario_cached(job, cache));
+    };
+    let fingerprint = scenario_fingerprint(job);
+    if let Some(record) = rc.lookup(fingerprint) {
+        return record;
     }
-    slots
-        .into_iter()
-        .map(|r| r.expect("every chunk slot is filled above"))
-        .collect()
+    let record = RunRecord::from_outcome(&run_scenario_cached(job, cache));
+    rc.insert(fingerprint, &record);
+    record
 }
 
+/// One worker: drain the own deque front-to-back, then steal from peers
+/// back-to-front, one job at a time, stopping as soon as the consumer went
+/// away.  A panic in a job is caught, recorded in `panic_slot` and
+/// re-raised on the consumer's side when the stream drains (workers are
+/// detached threads, so an unobserved panic would otherwise silently
+/// truncate the stream).
 #[allow(clippy::too_many_arguments)]
 fn worker_loop(
     own: usize,
@@ -331,87 +288,53 @@ fn worker_loop(
     cancel: &AtomicBool,
     panic_slot: &Mutex<Option<String>>,
     progress: &CampaignProgress,
-    batch: usize,
     cache: Option<&Arc<PlanCache>>,
     result_cache: Option<&Arc<ResultCache>>,
 ) {
-    // Claim up to `batch` jobs: the front of the own deque first, else the
-    // back of the first peer deque that has any.  A chunk never mixes the
-    // two sources — stealing a victim's whole tail would defeat the point
-    // of work-stealing.
-    let next_chunk = || -> Vec<usize> {
-        let mut chunk = Vec::new();
-        {
-            let mut own_queue = queues[own].lock().expect("queue lock");
-            while chunk.len() < batch {
-                match own_queue.pop_front() {
-                    Some(i) => chunk.push(i),
-                    None => break,
-                }
-            }
+    // The front of the own deque first, else the back of the first peer
+    // deque that has a job.
+    let next_job = || -> Option<usize> {
+        if let Some(index) = queues[own].lock().expect("queue lock").pop_front() {
+            return Some(index);
         }
-        if chunk.is_empty() {
-            for offset in 1..queues.len() {
-                let victim = (own + offset) % queues.len();
-                let mut victim_queue = queues[victim].lock().expect("queue lock");
-                while chunk.len() < batch {
-                    match victim_queue.pop_back() {
-                        Some(i) => chunk.push(i),
-                        None => break,
-                    }
-                }
-                if !chunk.is_empty() {
-                    break;
-                }
-            }
-        }
-        chunk
+        (1..queues.len()).find_map(|offset| {
+            let victim = (own + offset) % queues.len();
+            queues[victim].lock().expect("queue lock").pop_back()
+        })
     };
-    loop {
-        if cancel.load(Ordering::Relaxed) {
+    while !cancel.load(Ordering::Relaxed) {
+        let Some(index) = next_job() else {
             break;
-        }
-        let chunk = next_chunk();
-        if chunk.is_empty() {
-            break;
-        }
-        let records = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_chunk(&chunk, jobs, cache, result_cache)
+        };
+        let record = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_job(&jobs[index], cache, result_cache)
         }));
-        let records = match records {
-            Ok(records) => records,
+        let record = match record {
+            Ok(record) => record,
             Err(payload) => {
                 let message = payload
                     .downcast_ref::<&str>()
                     .map(|s| s.to_string())
                     .or_else(|| payload.downcast_ref::<String>().cloned())
                     .unwrap_or_else(|| "unknown panic payload".into());
-                let index = chunk[0];
                 let mut slot = panic_slot.lock().expect("panic slot lock");
                 slot.get_or_insert(format!("job #{index} (`{}`): {message}", jobs[index].name));
                 cancel.store(true, Ordering::Relaxed);
                 break;
             }
         };
-        let mut cancelled = false;
-        for (&index, record) in chunk.iter().zip(records) {
-            progress.executed.fetch_add(1, Ordering::Relaxed);
-            let buffered = progress.buffered.fetch_add(1, Ordering::Relaxed) + 1;
-            progress
-                .peak_buffered
-                .fetch_max(buffered, Ordering::Relaxed);
-            if tx.send(CampaignRecord { index, record }).is_err() {
-                // The consumer dropped the stream: the record was never
-                // buffered, so roll the accounting back before cancelling
-                // everyone — otherwise `buffered` leaks one count per
-                // worker on every cancellation.
-                progress.buffered.fetch_sub(1, Ordering::Relaxed);
-                cancel.store(true, Ordering::Relaxed);
-                cancelled = true;
-                break;
-            }
-        }
-        if cancelled {
+        progress.executed.fetch_add(1, Ordering::Relaxed);
+        let buffered = progress.buffered.fetch_add(1, Ordering::Relaxed) + 1;
+        progress
+            .peak_buffered
+            .fetch_max(buffered, Ordering::Relaxed);
+        if tx.send(CampaignRecord { index, record }).is_err() {
+            // The consumer dropped the stream: the record was never
+            // buffered, so roll the accounting back before cancelling
+            // everyone — otherwise `buffered` leaks one count per worker
+            // on every cancellation.
+            progress.buffered.fetch_sub(1, Ordering::Relaxed);
+            cancel.store(true, Ordering::Relaxed);
             break;
         }
     }
@@ -892,36 +815,10 @@ mod tests {
         assert_eq!(stats[511].scenario, "s511");
     }
 
-    /// Batched lockstep evaluation is purely a throughput knob: records
-    /// (digests included) must be byte-identical to the unbatched
-    /// campaign, with and without a shared planner cache, whatever the
-    /// worker count.
-    #[test]
-    fn batched_campaign_records_match_unbatched_byte_for_byte() {
-        let scenarios = vec![tiny_scenario("batched")];
-        let unbatched = Campaign::new(scenarios.clone())
-            .with_seeds([1, 2, 3, 4])
-            .with_workers(1)
-            .run();
-        let batched = Campaign::new(scenarios.clone())
-            .with_seeds([1, 2, 3, 4])
-            .with_workers(1)
-            .with_batch(4)
-            .run();
-        assert_eq!(unbatched.records, batched.records);
-        let cached = Campaign::new(scenarios)
-            .with_seeds([1, 2, 3, 4])
-            .with_workers(2)
-            .with_batch(2)
-            .with_plan_cache(Arc::new(soter_plan::cache::PlanCache::new()))
-            .run();
-        assert_eq!(unbatched.records, cached.records);
-    }
-
     /// A shared result cache is purely a memoization layer: the warm
     /// repeat must reproduce the cold records byte for byte with every job
-    /// answered from the cache, and it must compose with batching and the
-    /// planner cache.
+    /// answered from the cache, and it must compose with the planner
+    /// cache.
     #[test]
     fn result_cache_warm_repeat_is_byte_identical_and_all_hits() {
         let scenarios = vec![tiny_scenario("warm"), tiny_scenario("warm-b").with_seed(9)];
@@ -929,7 +826,7 @@ mod tests {
         let campaign = Campaign::new(scenarios)
             .with_seeds([1, 2, 3])
             .with_workers(2)
-            .with_batch(2)
+            .with_plan_cache(Arc::new(soter_plan::cache::PlanCache::new()))
             .with_result_cache(Arc::clone(&cache));
         let cold = campaign.run();
         assert_eq!(cache.hits(), 0);

@@ -19,8 +19,7 @@ use soter_plan::cache::PlanCache;
 use soter_plan::rrt_star::RrtStarConfig;
 use soter_plan::traits::MotionPlanner;
 use soter_plan::validate::validate_plan;
-use soter_runtime::batch::BatchExecutor;
-use soter_runtime::executor::{CompiledSystem, Executor, ExecutorConfig};
+use soter_runtime::executor::{Executor, ExecutorConfig};
 use soter_runtime::schedule::JitterSchedule;
 use soter_runtime::trace::TraceHasher;
 use soter_sim::trajectory::{MissionMetrics, Trajectory};
@@ -84,26 +83,38 @@ pub fn run_stack(
     target_progress: Option<i64>,
     schedule: JitterSchedule,
 ) -> RunOutcome {
-    let config = ExecutorConfig {
+    let mut exec = Executor::with_config(system, mission_config(schedule));
+    drive_stack(&mut exec, &handle, max_time, target_progress)
+}
+
+/// The executor configuration of every mission run: the given schedule,
+/// no stored trace (the digest is still kept), invariant monitors on.
+fn mission_config(schedule: JitterSchedule) -> ExecutorConfig {
+    ExecutorConfig {
         schedule,
         record_trace: false,
         monitor_invariants: true,
-    };
-    run_stack_with_config(system, handle, max_time, target_progress, config)
+    }
 }
 
-fn run_stack_with_config(
-    system: RtaSystem,
-    handle: PlantHandle,
+/// The single-drone mission loop: steps `exec` until the mission-progress
+/// topic reaches `target_progress` (if given) or `max_time` elapses, then
+/// reads the run's summary off the executor and the plant.  The executor
+/// is left as the run ended, so callers can inspect it further.
+fn drive_stack(
+    exec: &mut Executor,
+    handle: &PlantHandle,
     max_time: f64,
     target_progress: Option<i64>,
-    config: ExecutorConfig,
 ) -> RunOutcome {
     // When the motion primitive is not wrapped in an RTA module (AC-only or
     // SC-only baselines), the "safe mode" annotation of the trajectory is
     // constant: true when only the safe controller is present.
-    let unprotected_safe_mode = system.free_nodes().iter().any(|n| n.name() == "mpr_sc");
-    let mut exec = Executor::with_config(system, config);
+    let unprotected_safe_mode = exec
+        .system()
+        .free_nodes()
+        .iter()
+        .any(|n| n.name() == "mpr_sc");
     let mut trajectory = Trajectory::new();
     let mut completion_time = None;
     let mut profile = Vec::new();
@@ -202,24 +213,23 @@ fn run_stack_with_config(
     }
 }
 
-/// Re-runs a mission scenario sequentially and tallies the motion-primitive
-/// module's mode-switch reasons, in first-occurrence order.  The falsifier
-/// attaches this breakdown to its counterexamples, so a pinned crash names
-/// the oracle checks that fired around it.  Planner-query and fleet
-/// scenarios have no single motion-primitive module and yield no breakdown.
-pub(crate) fn mpr_switch_reasons(scenario: &Scenario) -> Vec<(SwitchReason, usize)> {
+/// Flies a mission scenario exactly as [`run_scenario_cached`] scores it
+/// and tallies the motion-primitive module's mode-switch reasons from that
+/// run, in first-occurrence order.  The falsifier attaches this breakdown
+/// to its counterexamples, so a pinned crash names the oracle checks that
+/// fired around it.  Planner-query and fleet scenarios have no single
+/// motion-primitive module and yield no breakdown.
+pub(crate) fn mpr_switch_reasons(
+    scenario: &Scenario,
+    cache: Option<&Arc<PlanCache>>,
+) -> Vec<(SwitchReason, usize)> {
     if scenario.fleet.is_some() || matches!(scenario.mission, MissionSpec::PlannerQueries { .. }) {
         return Vec::new();
     }
-    let prepared = prepare_mission(scenario, &scenario.mission.clone(), None);
-    let mut exec = Executor::with_config(prepared.system, prepared.config);
-    while let Some(now) = exec.step_instant() {
-        if now.as_secs_f64() > scenario.horizon {
-            break;
-        }
-    }
+    let flown = fly_mission(scenario, cache);
     let mut counts: Vec<(SwitchReason, usize)> = Vec::new();
-    if let Some(module) = exec
+    if let Some(module) = flown
+        .exec
         .system()
         .modules()
         .iter()
@@ -232,7 +242,6 @@ pub(crate) fn mpr_switch_reasons(scenario: &Scenario) -> Vec<(SwitchReason, usiz
             }
         }
     }
-    drop(prepared.handle);
     counts
 }
 
@@ -334,40 +343,31 @@ pub fn run_scenario_cached(scenario: &Scenario, cache: Option<&Arc<PlanCache>>) 
             queries,
             bug_probability,
         } => run_planner_queries(scenario, *queries, *bug_probability),
-        mission => run_mission(scenario, mission.clone(), cache),
+        _ => run_mission(scenario, cache),
     }
 }
 
-/// What a mission scenario needs before its executor starts: the built
-/// stack plus the completion bookkeeping of [`run_stack`].
-struct PreparedMission {
+/// A mission scenario flown to completion or its horizon: the run's
+/// summary, the executor as the run left it, and what [`run_mission`]
+/// needs to score the run.
+struct FlownMission {
     workspace: Workspace,
-    system: RtaSystem,
-    handle: PlantHandle,
-    config: ExecutorConfig,
+    exec: Executor,
+    outcome: RunOutcome,
     target: Option<i64>,
     /// The closed circuit reference polyline (circuit missions only).
     reference: Option<Vec<Vec3>>,
     looping: bool,
 }
 
-fn prepare_mission(
-    scenario: &Scenario,
-    mission: &MissionSpec,
-    cache: Option<&Arc<PlanCache>>,
-) -> PreparedMission {
+fn fly_mission(scenario: &Scenario, cache: Option<&Arc<PlanCache>>) -> FlownMission {
     let workspace = scenario.workspace.build();
     let mut config = scenario.stack_config(&workspace);
     config.plan_cache = cache.map(Arc::clone);
-    let jitter = scenario.jitter.model(scenario.seed);
-    let exec_config = ExecutorConfig {
-        schedule: jitter,
-        record_trace: false,
-        monitor_invariants: true,
-    };
-    match mission {
+    let schedule = scenario.jitter.model(scenario.seed);
+    let (system, handle, target, reference, looping) = match &scenario.mission {
         MissionSpec::CircuitLoop | MissionSpec::CircuitLap => {
-            let looping = matches!(mission, MissionSpec::CircuitLoop);
+            let looping = matches!(scenario.mission, MissionSpec::CircuitLoop);
             let waypoints = workspace.surveillance_points().to_vec();
             let target = if looping {
                 None
@@ -377,53 +377,50 @@ fn prepare_mission(
             let (system, handle) = build_circuit_stack(&config, waypoints.clone(), looping);
             let mut reference = waypoints.clone();
             reference.push(waypoints[0]);
-            PreparedMission {
-                workspace,
-                system,
-                handle,
-                config: exec_config,
-                target,
-                reference: Some(reference),
-                looping,
-            }
+            (system, handle, target, Some(reference), looping)
         }
         MissionSpec::Surveillance { policy, targets } => {
             let (system, handle) = build_full_stack(&config, policy.build(scenario.seed));
-            PreparedMission {
-                workspace,
-                system,
-                handle,
-                config: exec_config,
-                target: *targets,
-                reference: None,
-                looping: false,
-            }
+            (system, handle, *targets, None, false)
         }
         MissionSpec::PlannerQueries { .. } => {
             unreachable!("planner queries never reach the mission path")
         }
+    };
+    let mut exec = Executor::with_config(system, mission_config(schedule));
+    let outcome = drive_stack(&mut exec, &handle, scenario.horizon, target);
+    FlownMission {
+        workspace,
+        exec,
+        outcome,
+        target,
+        reference,
+        looping,
     }
 }
 
-/// The shared tail of the sequential and batched mission paths: metrics,
-/// safety, completion and the deterministic digest.
-fn summarise_mission(
-    scenario: &Scenario,
-    workspace: &Workspace,
-    reference: Option<&[Vec3]>,
-    looping: bool,
-    target: Option<i64>,
-    outcome: RunOutcome,
-) -> ScenarioOutcome {
-    let max_deviation = reference.map(|r| outcome.trajectory.max_deviation_from_polyline(r));
-    let completed = match (reference, looping, target) {
+/// Flies a mission scenario and scores it: metrics, safety, completion
+/// and the deterministic digest.
+fn run_mission(scenario: &Scenario, cache: Option<&Arc<PlanCache>>) -> ScenarioOutcome {
+    let FlownMission {
+        workspace,
+        outcome,
+        target,
+        reference,
+        looping,
+        ..
+    } = fly_mission(scenario, cache);
+    let max_deviation = reference
+        .as_deref()
+        .map(|r| outcome.trajectory.max_deviation_from_polyline(r));
+    let completed = match (&reference, looping, target) {
         (Some(_), true, _) => true,
         (Some(_), false, _) => outcome.completion_time.is_some(),
         (None, _, Some(n)) => outcome.targets_reached as i64 >= n,
         (None, _, None) => true,
     };
-    let metrics = MissionMetrics::from_trajectory(&outcome.trajectory, workspace, completed);
-    let safety_violations = collision_episodes(&outcome.trajectory, workspace);
+    let metrics = MissionMetrics::from_trajectory(&outcome.trajectory, &workspace, completed);
+    let safety_violations = collision_episodes(&outcome.trajectory, &workspace);
     let digest = digest_mission(scenario, &outcome, &metrics, safety_violations);
     ScenarioOutcome {
         scenario: scenario.name.clone(),
@@ -442,264 +439,6 @@ fn summarise_mission(
         run: Some(outcome),
         fleet: None,
     }
-}
-
-fn run_mission(
-    scenario: &Scenario,
-    mission: MissionSpec,
-    cache: Option<&Arc<PlanCache>>,
-) -> ScenarioOutcome {
-    let PreparedMission {
-        workspace,
-        system,
-        handle,
-        config,
-        target,
-        reference,
-        looping,
-    } = prepare_mission(scenario, &mission, cache);
-    let outcome = run_stack_with_config(system, handle, scenario.horizon, target, config);
-    summarise_mission(
-        scenario,
-        &workspace,
-        reference.as_deref(),
-        looping,
-        target,
-        outcome,
-    )
-}
-
-/// Runs a group of shape-identical mission scenarios through one
-/// [`BatchExecutor`] in lockstep, mirroring [`run_stack`]'s loop per
-/// instance.
-fn run_mission_group(
-    scenarios: &[&Scenario],
-    prepared: Vec<PreparedMission>,
-    compiled: Arc<CompiledSystem>,
-) -> Vec<ScenarioOutcome> {
-    struct LiveRun {
-        handle: PlantHandle,
-        max_time: f64,
-        target: Option<i64>,
-        unprotected_safe_mode: bool,
-        trajectory: Trajectory,
-        completion_time: Option<f64>,
-        profile: Vec<(f64, f64, f64)>,
-        last_profile_sample: f64,
-        battery_prev_mode: Option<Mode>,
-        battery_switch_charge: Option<f64>,
-        done: bool,
-    }
-    let mut instances = Vec::with_capacity(prepared.len());
-    let mut live = Vec::with_capacity(prepared.len());
-    let mut summaries = Vec::with_capacity(prepared.len());
-    for (scenario, p) in scenarios.iter().zip(prepared) {
-        let unprotected_safe_mode = p.system.free_nodes().iter().any(|n| n.name() == "mpr_sc");
-        instances.push((p.system, p.config));
-        live.push(LiveRun {
-            handle: p.handle,
-            max_time: scenario.horizon,
-            target: p.target,
-            unprotected_safe_mode,
-            trajectory: Trajectory::new(),
-            completion_time: None,
-            profile: Vec::new(),
-            last_profile_sample: -1.0,
-            battery_prev_mode: None,
-            battery_switch_charge: None,
-            done: false,
-        });
-        summaries.push((p.workspace, p.reference, p.looping));
-    }
-    let mut batch = BatchExecutor::with_compiled(instances, compiled);
-    let mut active = live.len();
-    // Lockstep sweeps: one discrete instant per live instance per sweep.
-    // Every branch below is the exact body of `run_stack`'s loop — the
-    // differential suite (`tests/batch_equivalence.rs`) pins the two paths
-    // byte-identical per instance.
-    while active > 0 {
-        for (inst, run) in live.iter_mut().enumerate() {
-            if run.done {
-                continue;
-            }
-            let Some(now) = batch.step_instant(inst) else {
-                run.done = true;
-                active -= 1;
-                continue;
-            };
-            let t = now.as_secs_f64();
-            if t > run.max_time {
-                run.done = true;
-                active -= 1;
-                continue;
-            }
-            if let Some(truth) = batch
-                .topic(inst, topics::GROUND_TRUTH)
-                .and_then(topics::value_to_state)
-            {
-                let safe_mode = batch
-                    .module_mode(inst, "safe_motion_primitive")
-                    .map(|m| m == Mode::Sc)
-                    .unwrap_or(run.unprotected_safe_mode);
-                run.trajectory.push(t, truth, safe_mode);
-                if t - run.last_profile_sample >= 0.5 {
-                    let charge = batch
-                        .topic(inst, topics::BATTERY_CHARGE)
-                        .and_then(Value::as_float)
-                        .unwrap_or(1.0);
-                    run.profile.push((t, truth.position.z, charge));
-                    run.last_profile_sample = t;
-                }
-            }
-            if let Some(mode) = batch.module_mode(inst, "battery_safety") {
-                if run.battery_prev_mode == Some(Mode::Ac)
-                    && mode == Mode::Sc
-                    && run.battery_switch_charge.is_none()
-                {
-                    run.battery_switch_charge = batch
-                        .topic(inst, topics::BATTERY_CHARGE)
-                        .and_then(Value::as_float);
-                }
-                run.battery_prev_mode = Some(mode);
-            }
-            if run.completion_time.is_none() {
-                if let Some(target) = run.target {
-                    let progress = batch
-                        .topic(inst, topics::MISSION_PROGRESS)
-                        .and_then(Value::as_int)
-                        .unwrap_or(0);
-                    if progress >= target {
-                        run.completion_time = Some(t);
-                        run.done = true;
-                        active -= 1;
-                    }
-                }
-            }
-        }
-    }
-    live.into_iter()
-        .enumerate()
-        .zip(summaries)
-        .map(|((inst, run), (workspace, reference, looping))| {
-            let targets_reached = batch
-                .topic(inst, topics::MISSION_PROGRESS)
-                .and_then(Value::as_int)
-                .unwrap_or(0)
-                .max(0) as usize;
-            let invariant_violations: usize = batch
-                .monitors(inst)
-                .iter()
-                .map(|m| m.violations().len())
-                .sum();
-            let mpr = batch
-                .system(inst)
-                .modules()
-                .iter()
-                .find(|m| m.name() == "safe_motion_primitive");
-            let (mpr_dis, mpr_re) = mpr
-                .map(|m| (m.dm().disengagement_count(), m.dm().reengagement_count()))
-                .unwrap_or((0, 0));
-            let (mpr_interventions, time_in_sc) = mpr
-                .map(|m| (m.interventions(), m.dm().time_in_sc(batch.now(inst))))
-                .unwrap_or((0, soter_core::time::Duration::ZERO));
-            let total_mode_switches: usize = batch
-                .system(inst)
-                .modules()
-                .iter()
-                .map(|m| m.dm().disengagement_count() + m.dm().reengagement_count())
-                .sum();
-            let trace_digest = batch.trace(inst).digest();
-            let trace_events = batch.trace(inst).recorded_events();
-            let outcome = {
-                let plant = run.handle.lock();
-                RunOutcome {
-                    trajectory: run.trajectory,
-                    completion_time: run.completion_time,
-                    targets_reached,
-                    invariant_violations,
-                    mpr_disengagements: mpr_dis,
-                    mpr_reengagements: mpr_re,
-                    mpr_interventions,
-                    time_in_sc,
-                    total_mode_switches,
-                    distance_flown: plant.distance_flown(),
-                    final_charge: plant.battery_charge(),
-                    landed: plant.is_landed(),
-                    profile: run.profile,
-                    battery_switch_charge: run.battery_switch_charge,
-                    trace_digest,
-                    trace_events,
-                }
-            };
-            summarise_mission(
-                scenarios[inst],
-                &workspace,
-                reference.as_deref(),
-                looping,
-                run.target,
-                outcome,
-            )
-        })
-        .collect()
-}
-
-/// Runs a slice of scenarios, stepping shape-identical mission scenarios
-/// through a shared-compilation [`BatchExecutor`] in lockstep and the rest
-/// (fleet, planner-query) through the sequential path.  Outcomes come back
-/// in input order and are byte-identical to [`run_scenario`] per scenario.
-///
-/// `cache` optionally shares one planner-query cache across the whole
-/// batch — the big win when the scenarios repeat RRT*/A* queries (same
-/// workspace, same mission, different schedules or seeds).
-pub fn run_scenario_batch(
-    scenarios: &[Scenario],
-    cache: Option<&Arc<PlanCache>>,
-) -> Vec<ScenarioOutcome> {
-    let mut outcomes: Vec<Option<ScenarioOutcome>> = Vec::new();
-    outcomes.resize_with(scenarios.len(), || None);
-    // Group batchable mission scenarios by compiled shape; everything else
-    // runs sequentially.
-    // (shape fingerprint, shared compilation, original indices, prepared runs)
-    type Group = (u64, Arc<CompiledSystem>, Vec<usize>, Vec<PreparedMission>);
-    let mut groups: Vec<Group> = Vec::new();
-    for (i, scenario) in scenarios.iter().enumerate() {
-        if scenario.fleet.is_some()
-            || matches!(scenario.mission, MissionSpec::PlannerQueries { .. })
-        {
-            outcomes[i] = Some(run_scenario_cached(scenario, cache));
-            continue;
-        }
-        let prepared = prepare_mission(scenario, &scenario.mission.clone(), cache);
-        let compiled = CompiledSystem::compile(&prepared.system);
-        match groups
-            .iter_mut()
-            .find(|(fp, ..)| *fp == compiled.fingerprint())
-        {
-            Some((_, _, indices, group)) => {
-                indices.push(i);
-                group.push(prepared);
-            }
-            None => {
-                groups.push((
-                    compiled.fingerprint(),
-                    Arc::new(compiled),
-                    vec![i],
-                    vec![prepared],
-                ));
-            }
-        }
-    }
-    for (_, compiled, indices, group) in groups {
-        let members: Vec<&Scenario> = indices.iter().map(|&i| &scenarios[i]).collect();
-        let results = run_mission_group(&members, group, compiled);
-        for (i, outcome) in indices.into_iter().zip(results) {
-            outcomes[i] = Some(outcome);
-        }
-    }
-    outcomes
-        .into_iter()
-        .map(|o| o.expect("every scenario produced an outcome"))
-        .collect()
 }
 
 fn digest_mission(
@@ -871,6 +610,34 @@ mod tests {
     use crate::spec::TargetPolicySpec;
     use crate::spec::WorkspaceSpec;
 
+    /// The switch-reason breakdown describes the scored run itself: for
+    /// every single-drone golden-suite mission its total equals that run's
+    /// motion-primitive disengagements plus re-engagements, including
+    /// missions that complete before their horizon.
+    #[test]
+    fn switch_reasons_count_the_switches_of_the_scored_run() {
+        let missions: Vec<Scenario> = crate::catalog::golden_suite()
+            .into_iter()
+            .filter(|s| {
+                s.fleet.is_none() && !matches!(s.mission, MissionSpec::PlannerQueries { .. })
+            })
+            .collect();
+        assert_eq!(missions.len(), 23);
+        for scenario in &missions {
+            let run = run_scenario(scenario).run.expect("a mission run");
+            let reasons: usize = mpr_switch_reasons(scenario, None)
+                .iter()
+                .map(|(_, n)| n)
+                .sum();
+            assert_eq!(
+                reasons,
+                run.mpr_disengagements + run.mpr_reengagements,
+                "switch reasons of `{}` do not match its scored run",
+                scenario.name
+            );
+        }
+    }
+
     #[test]
     fn scenario_runs_are_seed_deterministic() {
         let scenario = Scenario::new("determinism")
@@ -961,13 +728,7 @@ mod tests {
         ] {
             for filter in FilterKind::ALL {
                 let scenario = base.clone().with_filter(filter);
-                let prepared = prepare_mission(&scenario, &scenario.mission.clone(), None);
-                let mut exec = Executor::with_config(prepared.system, prepared.config);
-                while let Some(now) = exec.step_instant() {
-                    if now.as_secs_f64() > scenario.horizon {
-                        break;
-                    }
-                }
+                let exec = fly_mission(&scenario, None).exec;
                 for module in exec.system().modules() {
                     let delta = module.dm().delta();
                     let switches = module.dm().switches();
@@ -987,7 +748,6 @@ mod tests {
                         );
                     }
                 }
-                drop(prepared.handle);
             }
         }
         assert!(

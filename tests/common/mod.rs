@@ -3,8 +3,7 @@
 //! global `TopicMap`, `restrict` projections per firing, fresh output maps
 //! merged back, linear calendar scans), the deterministic random-system
 //! generator, and the trace → firing-list projection.  Used by
-//! `executor_equivalence.rs` (sequential executor vs reference) and
-//! `batch_equivalence.rs` (lockstep batch vs sequential vs reference).
+//! `executor_equivalence.rs` (executor vs reference).
 
 #![allow(dead_code)]
 
@@ -228,7 +227,7 @@ pub fn random_system(seed: u64, nodes: usize) -> RtaSystem {
 }
 
 /// Projects a recorded trace onto the firing list both interpreters log.
-pub fn trace_firings(trace: &Trace) -> Vec<Firing> {
+fn trace_firings(trace: &Trace) -> Vec<Firing> {
     trace
         .events()
         .iter()

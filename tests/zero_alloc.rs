@@ -21,7 +21,6 @@ use soter::drone::airspace::SeparationOracle;
 use soter::drone::oracles::MotionPrimitiveOracle;
 use soter::drone::{topics, DroneStackConfig};
 use soter::reach::{ForwardReach, PeerSeparation};
-use soter::runtime::batch::BatchExecutor;
 use soter::runtime::executor::{Executor, ExecutorConfig};
 use soter::runtime::schedule::JitterSchedule;
 use soter::sim::dynamics::{ControlInput, DroneState, QuadrotorDynamics};
@@ -212,53 +211,6 @@ fn run_steady_state(schedule: JitterSchedule, filter: FilterKind) -> u64 {
     allocs
 }
 
-/// The lockstep variant of [`run_steady_state`]: 8 instances of the same
-/// compiled system swept instant-by-instant.  The strided slot store, the
-/// per-instance calendars and the shared scratch buffers must all be at
-/// steady capacity after warm-up, so 2000 further lockstep instants (16000
-/// instance-instants) allocate nothing.
-fn run_steady_state_batch(schedule: JitterSchedule, width: usize) -> u64 {
-    let instances = (0..width)
-        .map(|_| {
-            (
-                system(FilterKind::ExplicitSimplex),
-                ExecutorConfig {
-                    schedule: schedule.clone(),
-                    record_trace: false,
-                    monitor_invariants: true,
-                },
-            )
-        })
-        .collect();
-    let mut batch = BatchExecutor::new(instances);
-    for inst in 0..width {
-        batch.publish(inst, "state", Value::Float(7.0));
-    }
-    // Warm-up: scratch buffers and every instance's sampler state reach
-    // steady capacity.
-    for _ in 0..200 {
-        for inst in 0..width {
-            batch.step_instant(inst);
-        }
-    }
-    let fired_before: u64 = (0..width).map(|i| batch.fired_steps(i)).sum();
-    let allocs_before = ALLOCATIONS.load(Ordering::Relaxed);
-    COUNTING.with(|c| c.set(true));
-    for _ in 0..2_000 {
-        for inst in 0..width {
-            batch.step_instant(inst);
-        }
-    }
-    COUNTING.with(|c| c.set(false));
-    let allocs = ALLOCATIONS.load(Ordering::Relaxed) - allocs_before;
-    let fired: u64 = (0..width).map(|i| batch.fired_steps(i)).sum::<u64>() - fired_before;
-    assert!(
-        fired >= 2_000 * width as u64,
-        "the lockstep probe must keep firing ({fired})"
-    );
-    allocs
-}
-
 #[test]
 fn steady_state_step_instant_allocates_nothing() {
     command_oracles_allocate_nothing();
@@ -288,11 +240,6 @@ fn steady_state_step_instant_allocates_nothing() {
                  with the {filter} filter"
             );
         }
-        let allocs = run_steady_state_batch(schedule, 8);
-        assert_eq!(
-            allocs, 0,
-            "steady-state lockstep batch allocated {allocs} times under the {label} schedule"
-        );
     }
 }
 
