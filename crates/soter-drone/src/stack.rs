@@ -24,7 +24,9 @@ use soter_core::node::{Node, NodeInfo};
 use soter_core::rta::{FilterKind, RtaModule};
 use soter_core::time::Duration;
 use soter_core::topic::TopicName;
-use soter_ctrl::fault::{FaultInjector, FaultSpec};
+use soter_ctrl::fault::FaultInjector;
+/// The fault an [`AdvancedKind::Faulted`] controller injects.
+pub use soter_ctrl::fault::FaultSpec;
 use soter_ctrl::learned::LearnedController;
 use soter_ctrl::px4_like::Px4LikeController;
 use soter_ctrl::reference::WaypointMission;
@@ -155,14 +157,14 @@ impl Default for DroneStackConfig {
             protection: Protection::Rta,
             advanced: AdvancedKind::Px4Like,
             start: Vec3::new(3.0, 3.0, 2.5),
-            initial_battery: 1.0,
+            initial_battery: Self::INITIAL_BATTERY,
             battery_model: BatteryModel::default(),
             plant_period: Duration::from_millis(10),
             controller_period: Duration::from_millis(20),
-            delta_mpr: Duration::from_millis(100),
-            delta_bat: Duration::from_secs(2),
-            delta_plan: Duration::from_millis(500),
-            safer_factor: 1.5,
+            delta_mpr: Self::DELTA_MPR,
+            delta_bat: Self::DELTA_BAT,
+            delta_plan: Self::DELTA_PLAN,
+            safer_factor: Self::SAFER_FACTOR,
             clearance_margin: 0.3,
             buggy_planner: false,
             sc_speed_cap: 2.0,
@@ -175,6 +177,17 @@ impl Default for DroneStackConfig {
 }
 
 impl DroneStackConfig {
+    /// The default initial battery charge fraction.
+    pub const INITIAL_BATTERY: f64 = 1.0;
+    /// The default decision period Δ of the motion-primitive module.
+    pub const DELTA_MPR: Duration = Duration::from_millis(100);
+    /// The default decision period Δ of the battery-safety module.
+    pub const DELTA_BAT: Duration = Duration::from_secs(2);
+    /// The default decision period Δ of the planner module.
+    pub const DELTA_PLAN: Duration = Duration::from_millis(500);
+    /// The default `φ_safer` hysteresis factor.
+    pub const SAFER_FACTOR: f64 = 1.5;
+
     /// Builds the advanced motion-primitive controller selected by
     /// [`DroneStackConfig::advanced`].
     ///

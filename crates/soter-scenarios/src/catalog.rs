@@ -454,6 +454,22 @@ pub fn find(name: &str) -> Option<Scenario> {
     registry().into_iter().find(|s| s.name == name)
 }
 
+/// Resolves every name like [`find`], in order, against one [`registry`]
+/// build; the error is the first name the registry does not hold.
+pub fn find_all(names: &[String]) -> Result<Vec<Scenario>, String> {
+    let registry = registry();
+    names
+        .iter()
+        .map(|name| {
+            registry
+                .iter()
+                .find(|s| &s.name == name)
+                .cloned()
+                .ok_or_else(|| name.clone())
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -501,6 +517,11 @@ mod tests {
             );
         }
         assert!(find("no-such-scenario").is_none());
+        let names: Vec<String> = registry.iter().rev().map(|s| s.name.clone()).collect();
+        let resolved = find_all(&names).expect("every registry name resolves");
+        assert!(resolved.iter().eq(registry.iter().rev()), "order is kept");
+        let unknown = vec![names[0].clone(), "no-such-scenario".to_string()];
+        assert_eq!(find_all(&unknown), Err("no-such-scenario".to_string()));
         // Re-seeding a resolved scenario matches direct construction — the
         // invariant the shard wire protocol relies on.
         assert_eq!(

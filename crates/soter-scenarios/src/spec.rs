@@ -158,9 +158,13 @@ pub const JITTER_STREAM: u64 = 1;
 /// combination: adjacent seeds, and different streams of the same seed,
 /// land in unrelated parts of the sampler's state space.
 pub fn derive_stream_seed(scenario_seed: u64, stream: u64) -> u64 {
-    let mut z = scenario_seed
-        .wrapping_add(stream.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-        .wrapping_add(0x9E37_79B9_7F4A_7C15);
+    splitmix64(scenario_seed.wrapping_add(stream.wrapping_mul(0x9E37_79B9_7F4A_7C15)))
+}
+
+/// One splitmix64 step: a golden-ratio increment then the finaliser.  A
+/// bijection on `u64` whose every output bit depends on every input bit.
+pub(crate) fn splitmix64(z: u64) -> u64 {
+    let mut z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
@@ -404,7 +408,9 @@ impl Scenario {
     /// RTA-protected PX4-like controller on a circuit loop, calm wind, no
     /// jitter, 60 s horizon, seed 0.
     pub fn new(name: impl Into<String>) -> Self {
-        let defaults = DroneStackConfig::default();
+        // The stack's default constants, not `DroneStackConfig::default()`:
+        // that builds a city-block `Workspace` only to drop it, about half
+        // the cost of a catalog registry build.
         Scenario {
             name: name.into(),
             workspace: WorkspaceSpec::CityBlock,
@@ -412,15 +418,15 @@ impl Scenario {
             protection: Protection::Rta,
             advanced: AdvancedKind::Px4Like,
             wind: WindModel::Calm,
-            battery_model: defaults.battery_model,
-            initial_battery: defaults.initial_battery,
+            battery_model: BatteryModel::default(),
+            initial_battery: DroneStackConfig::INITIAL_BATTERY,
             buggy_planner: false,
             jitter: JitterSpec::none(),
             horizon: 60.0,
-            delta_mpr: defaults.delta_mpr,
-            delta_bat: defaults.delta_bat,
-            delta_plan: defaults.delta_plan,
-            safer_factor: defaults.safer_factor,
+            delta_mpr: DroneStackConfig::DELTA_MPR,
+            delta_bat: DroneStackConfig::DELTA_BAT,
+            delta_plan: DroneStackConfig::DELTA_PLAN,
+            safer_factor: DroneStackConfig::SAFER_FACTOR,
             filter: FilterKind::ExplicitSimplex,
             fleet: None,
             start: None,

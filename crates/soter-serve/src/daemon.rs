@@ -27,6 +27,11 @@
 //! frames reuse the worker protocol's framing, so the same strict parser
 //! validates both hops.
 //!
+//! What a client can make the daemon hold is bounded: a request line is
+//! at most [`MAX_REQUEST_LINE`] bytes (a longer one is discarded through
+//! its newline and answered `ERRREPORT ? request line exceeds …`), and a
+//! request names at most [`MAX_REQUEST_CELLS`] matrix cells.
+//!
 //! The `cache=` token reports result-cache hits over lookups for this
 //! campaign and `stolen=` how many jobs moved between shards by work
 //! stealing; clients that predate these tokens still parse the header
@@ -51,7 +56,17 @@ use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
 use std::time::Duration;
+
+/// The longest request line the daemon reads, in bytes, newline
+/// excluded.  A `CAMPAIGN` over the whole registry and a few hundred
+/// seeds fits with room to spare.
+pub const MAX_REQUEST_LINE: usize = 64 * 1024;
+
+/// The most matrix cells one request may ask for: scenarios × seeds, with
+/// an empty seed list counting each scenario once.
+pub const MAX_REQUEST_CELLS: usize = 4096;
 
 /// Daemon configuration.
 #[derive(Clone)]
@@ -135,7 +150,16 @@ impl Daemon {
     pub fn handle_request_line(&self, line: &str) -> String {
         let (id, request) = match parse_request(line, self.config.default_shards) {
             Ok(parsed) => parsed,
-            Err(e) => return format!("ERRREPORT ? {e}\n"),
+            Err(e) => {
+                // Echo the id when the line got that far, so a client
+                // multiplexing campaigns can tell which request failed.
+                let id = line
+                    .trim()
+                    .strip_prefix("CAMPAIGN ")
+                    .and_then(|rest| rest.split_whitespace().next())
+                    .unwrap_or("?");
+                return format!("ERRREPORT {id} {e}\n");
+            }
         };
         let mut shard_config = self.config.shard.clone();
         shard_config.pool = Some(Arc::clone(&self.pool));
@@ -153,19 +177,38 @@ impl Daemon {
     /// Serves requests from `input`, writing responses to `output`, until
     /// end-of-stream.  Each campaign runs on its own thread; response
     /// blocks are written under a lock so concurrent campaigns never
-    /// interleave their frames.
-    pub fn serve<R, W>(&self, input: R, output: W)
+    /// interleave their frames.  Threads that have finished are joined as
+    /// new requests arrive, so a long-lived connection holds handles only
+    /// for campaigns still in flight.
+    pub fn serve<R, W>(&self, mut input: R, output: W)
     where
         R: BufRead,
         W: Write + Send + 'static,
     {
         let output = Arc::new(Mutex::new(output));
         let mut in_flight = Vec::new();
-        for line in input.lines() {
-            let Ok(line) = line else { break };
+        let mut buf = Vec::new();
+        loop {
+            match read_request_line(&mut input, &mut buf) {
+                Ok(LineRead::Line) => {}
+                Ok(LineRead::TooLong) => {
+                    let error = ServeError::RequestTooLong {
+                        limit: MAX_REQUEST_LINE,
+                    };
+                    let mut out = output.lock().expect("daemon output lock");
+                    let _ = out.write_all(format!("ERRREPORT ? {error}\n").as_bytes());
+                    let _ = out.flush();
+                    continue;
+                }
+                Ok(LineRead::Eof) | Err(_) => break,
+            }
+            // Invalid UTF-8 becomes replacement characters, which the
+            // request parser then rejects by name.
+            let line = String::from_utf8_lossy(&buf).into_owned();
             if line.trim().is_empty() {
                 continue;
             }
+            join_finished(&mut in_flight);
             let daemon = self.clone();
             let output = Arc::clone(&output);
             in_flight.push(std::thread::spawn(move || {
@@ -195,6 +238,7 @@ impl Daemon {
         while !stop.load(Ordering::Relaxed) {
             match listener.accept() {
                 Ok((stream, _addr)) => {
+                    join_finished(&mut clients);
                     let daemon = self.clone();
                     clients.push(std::thread::spawn(move || {
                         let Ok(writer) = stream.try_clone() else {
@@ -217,7 +261,57 @@ impl Daemon {
     }
 }
 
+/// What [`read_request_line`] found.
+enum LineRead {
+    /// A line (newline stripped) is in the buffer.
+    Line,
+    /// A line longer than [`MAX_REQUEST_LINE`] was consumed and dropped.
+    TooLong,
+    /// End of stream.
+    Eof,
+}
+
+/// Reads one line of at most [`MAX_REQUEST_LINE`] bytes into `buf`,
+/// stripping `\n` or `\r\n` as `BufRead::lines` does.  The rest of an
+/// over-long line is skipped through its newline, never held.
+fn read_request_line(input: &mut impl BufRead, buf: &mut Vec<u8>) -> std::io::Result<LineRead> {
+    buf.clear();
+    let limit = MAX_REQUEST_LINE as u64 + 1;
+    if std::io::Read::take(&mut *input, limit).read_until(b'\n', buf)? == 0 {
+        return Ok(LineRead::Eof);
+    }
+    if buf.last() == Some(&b'\n') {
+        buf.pop();
+        if buf.last() == Some(&b'\r') {
+            buf.pop();
+        }
+        return Ok(LineRead::Line);
+    }
+    if buf.len() <= MAX_REQUEST_LINE {
+        // A final line with no newline before end-of-stream.
+        return Ok(LineRead::Line);
+    }
+    buf.clear();
+    input.skip_until(b'\n')?;
+    Ok(LineRead::TooLong)
+}
+
+/// Joins the threads in `handles` that have already finished and keeps
+/// the rest.
+fn join_finished(handles: &mut Vec<JoinHandle<()>>) {
+    let mut i = 0;
+    while i < handles.len() {
+        if handles[i].is_finished() {
+            let _ = handles.swap_remove(i).join();
+        } else {
+            i += 1;
+        }
+    }
+}
+
 /// Parses a `CAMPAIGN` request line into its client id and request.
+/// Requests over [`MAX_REQUEST_CELLS`] cells fail here, before any
+/// scenario name is resolved.
 pub fn parse_request(
     line: &str,
     default_shards: usize,
@@ -272,6 +366,13 @@ pub fn parse_request(
         scenarios.ok_or_else(|| ServeError::Request("missing `scenarios=` field".into()))?;
     if scenarios.is_empty() {
         return Err(ServeError::Request("empty `scenarios=` field".into()));
+    }
+    let cells = scenarios.len().saturating_mul(seeds.len().max(1));
+    if cells > MAX_REQUEST_CELLS {
+        return Err(ServeError::MatrixTooLarge {
+            cells,
+            limit: MAX_REQUEST_CELLS,
+        });
     }
     Ok((
         id,
@@ -508,6 +609,112 @@ mod tests {
         assert!(err.to_string().contains("unknown catalog scenario"));
     }
 
+    /// A writer whose bytes the test can read after `serve` returns.
+    #[derive(Clone, Default)]
+    struct SharedBuf(Arc<Mutex<Vec<u8>>>);
+
+    impl Write for SharedBuf {
+        fn write(&mut self, bytes: &[u8]) -> std::io::Result<usize> {
+            self.0.lock().unwrap().extend_from_slice(bytes);
+            Ok(bytes.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn serve_bytes(input: &[u8]) -> String {
+        let out = SharedBuf::default();
+        Daemon::new(ServeConfig::default()).serve(input, out.clone());
+        let bytes = out.0.lock().unwrap().clone();
+        String::from_utf8(bytes).unwrap()
+    }
+
+    #[test]
+    fn over_long_request_lines_get_an_errreport_and_serving_continues() {
+        let mut input = b"CAMPAIGN big scenarios=".to_vec();
+        input.extend(std::iter::repeat_n(b'x', MAX_REQUEST_LINE));
+        input.extend_from_slice(b"\nNONSENSE\n");
+        let output = serve_bytes(&input);
+        let lines: Vec<&str> = output.lines().collect();
+        assert_eq!(lines.len(), 2, "{output}");
+        assert_eq!(
+            lines[0],
+            format!("ERRREPORT ? request line exceeds {MAX_REQUEST_LINE} bytes")
+        );
+        assert!(
+            lines[1].starts_with("ERRREPORT ? malformed request"),
+            "{output}"
+        );
+
+        // A line of exactly the bound is read whole, then parsed.
+        let mut input = b"CAMPAIGN j scenarios=".to_vec();
+        input.resize(MAX_REQUEST_LINE, b'x');
+        input.push(b'\n');
+        let output = serve_bytes(&input);
+        assert!(output.contains("unknown catalog scenario"), "{output}");
+    }
+
+    #[test]
+    fn invalid_utf8_requests_get_an_errreport_and_serving_continues() {
+        let output = serve_bytes(b"CAMPAIGN j scenarios=\xff\xfe\nNONSENSE\n");
+        let lines: Vec<&str> = output.lines().collect();
+        assert_eq!(lines.len(), 2, "{output}");
+        assert!(
+            lines.iter().all(|l| l.starts_with("ERRREPORT ")),
+            "{output}"
+        );
+    }
+
+    #[test]
+    fn oversized_matrices_get_an_errreport_before_resolving() {
+        // Two unknown names: the cell count is scenarios × seeds, and the
+        // bound is checked before either name is resolved.
+        let half = MAX_REQUEST_CELLS / 2;
+        let seeds: Vec<String> = (0..=half as u64).map(|s| s.to_string()).collect();
+        let request = |seeds: &[String]| {
+            format!(
+                "CAMPAIGN big scenarios=no-such-scenario,nor-this seeds={}",
+                seeds.join(",")
+            )
+        };
+        let line = request(&seeds);
+        assert!(line.len() <= MAX_REQUEST_LINE);
+        let cells = 2 * (half + 1);
+        assert!(matches!(
+            parse_request(&line, 2),
+            Err(ServeError::MatrixTooLarge { cells: c, limit })
+                if c == cells && limit == MAX_REQUEST_CELLS
+        ));
+        let response = Daemon::new(ServeConfig::default()).handle_request_line(&line);
+        assert_eq!(
+            response,
+            format!(
+                "ERRREPORT big campaign matrix of {cells} cells exceeds the \
+                 {MAX_REQUEST_CELLS}-cell limit\n"
+            )
+        );
+        // The bound itself is allowed through to name resolution.
+        assert!(parse_request(&request(&seeds[..half]), 2).is_ok());
+    }
+
+    #[test]
+    fn finished_request_threads_are_joined() {
+        let mut handles: Vec<_> = (0..3).map(|_| std::thread::spawn(|| {})).collect();
+        let (tx, rx) = std::sync::mpsc::channel::<()>();
+        handles.push(std::thread::spawn(move || {
+            let _ = rx.recv();
+        }));
+        while handles[..3].iter().any(|h| !h.is_finished()) {
+            std::thread::yield_now();
+        }
+        join_finished(&mut handles);
+        assert_eq!(handles.len(), 1, "only the blocked thread is kept");
+        drop(tx);
+        handles.pop().unwrap().join().unwrap();
+    }
+
     #[test]
     fn malformed_requests_get_an_errreport_without_running_anything() {
         let daemon = Daemon::new(ServeConfig::default());
@@ -516,5 +723,7 @@ mod tests {
         assert!(response.contains("unknown catalog scenario"));
         let response = daemon.handle_request_line("NONSENSE");
         assert!(response.starts_with("ERRREPORT ? "), "{response}");
+        let response = daemon.handle_request_line("CAMPAIGN j7 scenarios=a seeds=x");
+        assert!(response.starts_with("ERRREPORT j7 malformed"), "{response}");
     }
 }

@@ -41,6 +41,22 @@ pub enum ServeError {
     Worker(String),
     /// A malformed request line reached the daemon.
     Request(String),
+    /// A request line longer than
+    /// [`MAX_REQUEST_LINE`](crate::daemon::MAX_REQUEST_LINE) bytes; the
+    /// daemon discards it through its newline without storing it.
+    RequestTooLong {
+        /// The line-length bound in bytes.
+        limit: usize,
+    },
+    /// A request whose `scenarios × seeds` matrix exceeds
+    /// [`MAX_REQUEST_CELLS`](crate::daemon::MAX_REQUEST_CELLS); rejected
+    /// before any name is resolved.
+    MatrixTooLarge {
+        /// Cells the request asked for.
+        cells: usize,
+        /// The matrix bound.
+        limit: usize,
+    },
     /// The merge finished with holes — some matrix index was never
     /// delivered (should be unreachable while shard supervisors succeed).
     Incomplete {
@@ -81,6 +97,13 @@ impl fmt::Display for ServeError {
             ),
             ServeError::Worker(message) => write!(f, "worker reported a fatal error: {message}"),
             ServeError::Request(message) => write!(f, "malformed request: {message}"),
+            ServeError::RequestTooLong { limit } => {
+                write!(f, "request line exceeds {limit} bytes")
+            }
+            ServeError::MatrixTooLarge { cells, limit } => write!(
+                f,
+                "campaign matrix of {cells} cells exceeds the {limit}-cell limit"
+            ),
             ServeError::Incomplete { missing } => {
                 write!(f, "merged report is missing {missing} matrix slots")
             }

@@ -2,8 +2,9 @@
 //! shards, and the [`CampaignRequest`] that names such a matrix.
 //!
 //! A request carries catalog scenario *names* (not scenario values): both
-//! the coordinator and every worker resolve names through
-//! [`soter_scenarios::catalog::find`], so job expansion is identical on
+//! the coordinator and every worker resolve names through the catalog
+//! registry ([`soter_scenarios::catalog::find_all`] and
+//! [`soter_scenarios::catalog::find`]), so job expansion is identical on
 //! both sides of the process boundary and a record can be merged purely by
 //! its matrix index.
 
@@ -55,29 +56,15 @@ impl CampaignRequest {
     /// Resolves every scenario name through the catalog and expands the
     /// full job list in deterministic matrix order.
     pub fn resolve_jobs(&self) -> Result<Vec<Scenario>, ServeError> {
-        let scenarios = self
-            .scenarios
-            .iter()
-            .map(|name| {
-                catalog::find(name).ok_or_else(|| ServeError::UnknownScenario(name.clone()))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(Campaign::new(scenarios)
-            .with_seeds(self.seeds.clone())
-            .jobs())
+        Ok(self.in_process_campaign()?.jobs())
     }
 
     /// The equivalent in-process campaign (what
     /// [`ShardCoordinator::run`](crate::coordinator::ShardCoordinator) must
-    /// reproduce byte-for-byte).
+    /// reproduce byte-for-byte).  All names resolve against one registry
+    /// build.
     pub fn in_process_campaign(&self) -> Result<Campaign, ServeError> {
-        let scenarios = self
-            .scenarios
-            .iter()
-            .map(|name| {
-                catalog::find(name).ok_or_else(|| ServeError::UnknownScenario(name.clone()))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
+        let scenarios = catalog::find_all(&self.scenarios).map_err(ServeError::UnknownScenario)?;
         Ok(Campaign::new(scenarios).with_seeds(self.seeds.clone()))
     }
 }
